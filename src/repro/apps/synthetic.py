@@ -32,8 +32,8 @@ compact, canonical spec token:
 Naming contract: the app registers as ``synthetic:<token>`` and tasks as
 ``syn:<token>:NNNN`` — an id alone carries everything any process needs to
 regenerate the exact task, which is what lets generated grids flow through
-every execution path (serial, parallel, file shards, dir broker, object
-store) unchanged.
+every execution path (serial, parallel, file shards, the object-store
+broker) unchanged.
 
 Determinism contract: every random draw comes from ``random.Random``
 seeded with a string derived from the canonical token (string seeding is

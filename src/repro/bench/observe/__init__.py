@@ -5,7 +5,7 @@ signals" item on top of the PR 5/PR 7 telemetry substrate:
 
 :mod:`repro.bench.observe.trace`
     Deterministic trace correlation: trial/shard/plan trace ids derived
-    from the same identity fields that make the five execution paths
+    from the same identity fields that make the four execution paths
     byte-identical, a thread-local span-context stack for the
     instrumented seams, and the reconstruction that turns merged JSONL
     from any number of workers back into one per-trial timeline.

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.bench.fields import FieldReader
 from repro.bench.telemetry import AggregatingSink
 
 #: Version of the RunRecord JSON layout; mismatching files are rejected.
@@ -35,8 +36,10 @@ RUN_RECORD_FORMAT_VERSION = 1
 
 _RECORD_KIND = "repro-run-record"
 
-#: The execution paths a record may claim: the five equivalence paths, plus
-#: the maintenance paths recorded by ``repro cache gc`` and incremental rips.
+#: The execution paths a record may claim: the equivalence paths, plus the
+#: maintenance paths recorded by ``repro cache gc`` and incremental rips.
+#: ``dir-broker`` names the retired directory broker; the CLI no longer
+#: records it, but it stays valid so existing run records load and diff.
 EXECUTOR_PATHS = ("serial", "parallel", "file-shard", "dir-broker",
                   "store-broker", "cache-gc", "incremental-rip")
 
@@ -48,66 +51,19 @@ class RegistryError(ValueError):
     """A run record is missing, unreadable, or structurally invalid."""
 
 
+_fields = FieldReader(RegistryError)
+
+
 def _executor_base(executor: str) -> str:
     """The path component of an executor label.
 
     Broker runs against a *named* plan label themselves
-    ``dir-broker:planA`` / ``store-broker:planA`` so ``runs list``/``diff``
-    can tell concurrent tenants apart; the part before the first ``:`` must
+    ``store-broker:planA`` so ``runs list``/``diff`` can tell concurrent
+    tenants apart; the part before the first ``:`` must
     still be one of :data:`EXECUTOR_PATHS`.  Default-namespace runs keep
     the bare label, so pre-PR-7 records and tooling are unaffected.
     """
     return executor.split(":", 1)[0]
-
-
-def _require(payload: Mapping[str, object], key: str, source: str) -> object:
-    if key not in payload:
-        raise RegistryError(f"{source}: missing required field {key!r}")
-    return payload[key]
-
-
-def _require_int(payload: Mapping[str, object], key: str, source: str) -> int:
-    value = _require(payload, key, source)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise RegistryError(f"{source}: field {key!r} must be an integer, "
-                            f"got {value!r}")
-    return value
-
-
-def _require_number(payload: Mapping[str, object], key: str,
-                    source: str) -> float:
-    value = _require(payload, key, source)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise RegistryError(f"{source}: field {key!r} must be a number, "
-                            f"got {value!r}")
-    return float(value)
-
-
-def _require_str(payload: Mapping[str, object], key: str, source: str) -> str:
-    value = _require(payload, key, source)
-    if not isinstance(value, str):
-        raise RegistryError(f"{source}: field {key!r} must be a string, "
-                            f"got {value!r}")
-    return value
-
-
-def _require_str_tuple(payload: Mapping[str, object], key: str,
-                       source: str) -> Tuple[str, ...]:
-    value = _require(payload, key, source)
-    if not isinstance(value, (list, tuple)) \
-            or not all(isinstance(item, str) for item in value):
-        raise RegistryError(f"{source}: field {key!r} must be a list of "
-                            f"strings, got {value!r}")
-    return tuple(value)
-
-
-def _require_dict(payload: Mapping[str, object], key: str,
-                  source: str) -> Dict[str, object]:
-    value = _require(payload, key, source)
-    if not isinstance(value, dict):
-        raise RegistryError(f"{source}: field {key!r} must be a JSON object, "
-                            f"got {type(value).__name__}")
-    return value
 
 
 def config_key(seed: int, trials: int, setting_keys: Sequence[str],
@@ -191,33 +147,35 @@ class RunRecord:
             raise RegistryError(
                 f"{source}: field 'format_version' is {version!r}; this "
                 f"build reads format version {RUN_RECORD_FORMAT_VERSION}")
-        executor = _require_str(payload, "executor", source)
+        executor = _fields.require_str(payload, "executor", source)
         if _executor_base(executor) not in EXECUTOR_PATHS:
             raise RegistryError(
                 f"{source}: field 'executor' is {executor!r}; expected one "
                 f"of {', '.join(map(repr, EXECUTOR_PATHS))} (optionally "
                 "suffixed ':<plan>' for a named broker plan)")
-        counters = _require_dict(payload, "counters", source)
+        counters = _fields.require_dict(payload, "counters", source)
         for name, value in counters.items():
             if isinstance(value, bool) or not isinstance(value, int):
                 raise RegistryError(f"{source}: field 'counters.{name}' "
                                     f"must be an integer, got {value!r}")
         return cls(
-            run_id=_require_str(payload, "run_id", source),
-            created_at=_require_str(payload, "created_at", source),
+            run_id=_fields.require_str(payload, "run_id", source),
+            created_at=_fields.require_str(payload, "created_at", source),
             executor=executor,
-            seed=_require_int(payload, "seed", source),
-            trials=_require_int(payload, "trials", source),
-            jobs=_require_int(payload, "jobs", source),
-            setting_keys=_require_str_tuple(payload, "setting_keys", source),
-            task_ids=_require_str_tuple(payload, "task_ids", source),
-            fingerprint=_require_str(payload, "fingerprint", source),
-            config_key=_require_str(payload, "config_key", source),
-            trial_count=_require_int(payload, "trial_count", source),
-            wall_clock_s=_require_number(payload, "wall_clock_s", source),
+            seed=_fields.require_int(payload, "seed", source),
+            trials=_fields.require_int(payload, "trials", source),
+            jobs=_fields.require_int(payload, "jobs", source),
+            setting_keys=_fields.require_str_tuple(payload, "setting_keys",
+                                                   source),
+            task_ids=_fields.require_str_tuple(payload, "task_ids", source),
+            fingerprint=_fields.require_str(payload, "fingerprint", source),
+            config_key=_fields.require_str(payload, "config_key", source),
+            trial_count=_fields.require_int(payload, "trial_count", source),
+            wall_clock_s=_fields.require_number(payload, "wall_clock_s",
+                                                source),
             counters=dict(counters),
-            timers=dict(_require_dict(payload, "timers", source)),
-            metrics=dict(_require_dict(payload, "metrics", source)),
+            timers=dict(_fields.require_dict(payload, "timers", source)),
+            metrics=dict(_fields.require_dict(payload, "metrics", source)),
             context=dict(payload.get("context", {})
                          if isinstance(payload.get("context", {}), dict)
                          else {}),

@@ -41,6 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.agent.session import SessionResult
 from repro.bench.engine import ProgressCallback, TrialSpec, expand_trial_specs
+from repro.bench.fields import FieldReader
 from repro.dmi.cache import ArtifactCache, config_fingerprint
 from repro.dmi.interface import DMIConfig
 
@@ -56,44 +57,7 @@ class ShardError(ValueError):
     """A manifest or results file is invalid or inconsistent with its peers."""
 
 
-def _require(payload: Dict[str, object], key: str, source: str) -> object:
-    if key not in payload:
-        raise ShardError(f"{source}: missing required field {key!r}")
-    return payload[key]
-
-
-def _require_int(payload: Dict[str, object], key: str, source: str) -> int:
-    value = _require(payload, key, source)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ShardError(f"{source}: field {key!r} must be an integer, "
-                         f"got {value!r}")
-    return value
-
-
-def _require_str(payload: Dict[str, object], key: str, source: str) -> str:
-    value = _require(payload, key, source)
-    if not isinstance(value, str):
-        raise ShardError(f"{source}: field {key!r} must be a string, "
-                         f"got {value!r}")
-    return value
-
-
-def _require_str_tuple(payload: Dict[str, object], key: str,
-                       source: str) -> Tuple[str, ...]:
-    value = _require(payload, key, source)
-    if not isinstance(value, (list, tuple)) \
-            or not all(isinstance(item, str) for item in value):
-        raise ShardError(f"{source}: field {key!r} must be a list of "
-                         f"strings, got {value!r}")
-    return tuple(value)
-
-
-def _require_list(payload: Dict[str, object], key: str, source: str) -> list:
-    value = _require(payload, key, source)
-    if not isinstance(value, list):
-        raise ShardError(f"{source}: field {key!r} must be a list, "
-                         f"got {type(value).__name__}")
-    return value
+_fields = FieldReader(ShardError)
 
 
 def _check_header(payload: Dict[str, object], kind: str, source: str) -> None:
@@ -170,7 +134,8 @@ class ShardManifest:
                   source: str = "manifest") -> "ShardManifest":
         _check_header(payload, _MANIFEST_KIND, source)
         specs = []
-        for position, spec in enumerate(_require_list(payload, "specs", source)):
+        for position, spec in enumerate(
+                _fields.require_list(payload, "specs", source)):
             try:
                 specs.append(TrialSpec.from_dict(spec))
             except (KeyError, TypeError, ValueError, AttributeError) as error:
@@ -178,13 +143,14 @@ class ShardManifest:
                     f"{source}: field 'specs[{position}]' is not a valid "
                     f"trial spec: {error!r}") from error
         return cls(
-            shard_index=_require_int(payload, "shard_index", source),
-            shard_count=_require_int(payload, "shard_count", source),
-            seed=_require_int(payload, "seed", source),
-            trials=_require_int(payload, "trials", source),
-            fingerprint=_require_str(payload, "fingerprint", source),
-            setting_keys=_require_str_tuple(payload, "setting_keys", source),
-            task_ids=_require_str_tuple(payload, "task_ids", source),
+            shard_index=_fields.require_int(payload, "shard_index", source),
+            shard_count=_fields.require_int(payload, "shard_count", source),
+            seed=_fields.require_int(payload, "seed", source),
+            trials=_fields.require_int(payload, "trials", source),
+            fingerprint=_fields.require_str(payload, "fingerprint", source),
+            setting_keys=_fields.require_str_tuple(payload, "setting_keys",
+                                                   source),
+            task_ids=_fields.require_str_tuple(payload, "task_ids", source),
             specs=tuple(specs),
         )
 
@@ -341,15 +307,15 @@ class ShardResults:
     def from_dict(cls, payload: Dict[str, object],
                   source: str = "results") -> "ShardResults":
         _check_header(payload, _RESULTS_KIND, source)
-        manifest_payload = _require(payload, "manifest", source)
+        manifest_payload = _fields.require(payload, "manifest", source)
         if not isinstance(manifest_payload, dict):
             raise ShardError(f"{source}: field 'manifest' must be a JSON "
                              f"object, got {type(manifest_payload).__name__}")
         manifest = ShardManifest.from_dict(
             manifest_payload, source=f"{source} (manifest)")
         results = []
-        for position, result in enumerate(_require_list(payload, "results",
-                                                        source)):
+        for position, result in enumerate(
+                _fields.require_list(payload, "results", source)):
             try:
                 results.append(SessionResult.from_dict(result))
             except (KeyError, TypeError, ValueError, AttributeError) as error:

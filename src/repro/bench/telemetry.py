@@ -1,7 +1,7 @@
 """Structured telemetry: typed events, pluggable sinks, zero-cost when off.
 
 The scaling stack (engine → shards → broker → object store) executes one
-grid through five byte-identical paths, but byte-identical output says
+grid through four byte-identical paths, but byte-identical output says
 nothing about *where the time went*.  This module is the measurement
 substrate: instrumentation points across the stack emit small typed events
 (:class:`TrialStarted`/:class:`TrialFinished` from the runner and executors,

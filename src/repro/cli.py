@@ -40,17 +40,16 @@ Five subcommands cover the common workflows without writing any code:
     to a single-machine serial run for the same seed.  ``shard status``
     prints the per-plan queue table without collecting.
 
-    Two broker backends, chosen per command: ``--broker DIR`` is a
-    shared/NFS directory with atomic-rename leases; ``--store DIR`` is an
-    object-store broker over a directory emulating S3-style conditional
-    writes (compare-and-swap lease objects — the deployable layout for any
-    store with ``If-None-Match``/``If-Match`` semantics).  Leases expire
+    The queue lives in ``--store DIR``: an object-store broker over a
+    shared (NFS-style) directory emulating S3-style conditional writes
+    (compare-and-swap lease objects — the deployable layout for any store
+    with ``If-None-Match``/``If-Match`` semantics).  Leases expire
     after ``--lease-ttl SECS`` (default 900) so crashed workers are
     reclaimed; live workers renew their lease in the background every
     ``--heartbeat SECS`` (default ``lease_ttl/3``; ``0`` disables), so
     manifests may run arbitrarily long without an oversized TTL.
 ``fleet``
-    Observe an always-on worker fleet: ``fleet status --broker DIR``
+    Observe an always-on worker fleet: ``fleet status --store DIR``
     prints the live per-plan queue gauges (add ``--metrics FILE`` to fold
     in a daemon worker's ``--metrics`` JSON snapshot — idle poll rate,
     drained plans — and ``--json`` for machine consumption).
@@ -116,23 +115,20 @@ Examples::
     python -m repro shard run shards/shard-000-of-003.json \\
         --results results-0.json --jobs 4 --cache-dir .dmi-cache --progress
     python -m repro shard merge results-*.json --report --export merged.json
-    python -m repro shard submit --broker /mnt/queue --shards 8
-    python -m repro shard work --broker /mnt/queue --jobs 4 \\
+    python -m repro shard submit --store /mnt/queue --shards 8
+    python -m repro shard work --store /mnt/queue --jobs 4 \\
         --cache-dir .dmi-cache          # on every worker machine
-    python -m repro shard collect --broker /mnt/queue --poll 5 --progress \\
+    python -m repro shard collect --store /mnt/queue --poll 5 --progress \\
         --report --export merged.json
-    python -m repro shard submit --store /mnt/objstore --shards 8
-    python -m repro shard work --store /mnt/objstore --lease-ttl 120 \\
-        --heartbeat 30 --jobs 4         # object-store broker + heartbeats
-    python -m repro shard collect --store /mnt/objstore --poll 5 \\
-        --export merged.json
-    python -m repro shard submit --broker /mnt/queue --shards 8 \\
+    python -m repro shard work --store /mnt/queue --lease-ttl 120 \\
+        --heartbeat 30 --jobs 4         # short TTL kept alive by heartbeats
+    python -m repro shard submit --store /mnt/queue --shards 8 \\
         --plan nightly --priority 1     # a named tenant on a shared broker
-    python -m repro shard work --broker /mnt/queue --daemon \\
+    python -m repro shard work --store /mnt/queue --daemon \\
         --max-idle-s 600 --metrics fleet.json   # persistent fleet worker
-    python -m repro shard status --broker /mnt/queue
-    python -m repro fleet status --broker /mnt/queue --metrics fleet.json
-    python -m repro shard collect --broker /mnt/queue --plan nightly
+    python -m repro shard status --store /mnt/queue
+    python -m repro fleet status --store /mnt/queue --metrics fleet.json
+    python -m repro shard collect --store /mnt/queue --plan nightly
     python -m repro run --registry runs/ --events run.jsonl --trials 1
     python -m repro runs list --registry runs/
     python -m repro runs diff 20260726-1 20260726-2 --registry runs/ \\
@@ -197,20 +193,13 @@ from repro.bench.shard import (
     ShardResults,
     merge_shard_results,
 )
-from repro.bench.faults import (
-    FaultSchedule,
-    FaultyBroker,
-    FaultyObjectStore,
-    RetryingBroker,
-)
+from repro.bench.faults import FaultSchedule, FaultyObjectStore
 from repro.bench.store import FileSystemObjectStore
 from repro.bench.transport import (
     DEFAULT_LEASE_TTL,
     DEFAULT_PLAN,
     BrokerStatus,
-    LocalDirBroker,
     ObjectStoreBroker,
-    ShardBroker,
     ShardLease,
     ShardWorker,
     validate_plan_name,
@@ -367,15 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError(str(error))
 
     def add_queue_flags(sub: argparse.ArgumentParser) -> None:
-        """The broker-selection flags shared by submit/work/collect."""
-        backend = sub.add_mutually_exclusive_group(required=True)
-        backend.add_argument("--broker", metavar="DIR",
-                             help="directory broker queue (shared/NFS, "
-                                  "atomic-rename leases)")
-        backend.add_argument("--store", metavar="DIR",
-                             help="object-store broker (a directory with "
-                                  "S3-style conditional-write semantics, "
-                                  "compare-and-swap leases)")
+        """The queue flags shared by the shard and fleet commands."""
+        sub.add_argument("--store", metavar="DIR", required=True,
+                         help="the broker queue: a shared directory with "
+                              "S3-style conditional-write semantics "
+                              "(compare-and-swap leases)")
         sub.add_argument("--lease-ttl", type=positive_float,
                          default=DEFAULT_LEASE_TTL, metavar="SECS",
                          help="seconds before an unrenewed lease may be "
@@ -383,9 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--fault-schedule", metavar="FILE", default=None,
                          help="chaos-conformance test rig: inject the "
                               "deterministic fault schedule (seeded JSON, "
-                              "see repro.bench.faults) into every broker/"
-                              "store operation; bounded retries must "
-                              "absorb the weather")
+                              "see repro.bench.faults) into every store "
+                              "operation; bounded retries must absorb the "
+                              "weather")
 
     shard_submit = shard_sub.add_parser(
         "submit", help="plan the grid and enqueue its manifests on a broker")
@@ -1051,35 +1036,24 @@ def command_shard_merge(args) -> int:
 # ----------------------------------------------------------------------
 # shard submit / work / collect (the broker queue)
 # ----------------------------------------------------------------------
-def _queue_location(args) -> str:
-    """The broker's location for messages: whichever backend was chosen."""
-    return args.broker if args.broker is not None else args.store
-
-
-def _cli_broker(args) -> ShardBroker:
-    """The broker selected by --broker (directory) or --store (object
-    store); argparse guarantees exactly one was given.
+def _cli_broker(args) -> ObjectStoreBroker:
+    """The broker over the ``--store DIR`` queue.
 
     With ``--fault-schedule FILE`` (the chaos-conformance test rig) the
-    chosen backend is wrapped in the seeded fault injector from
-    :mod:`repro.bench.faults`: store-backed queues take the weather at the
-    storage layer (the broker's own bounded retries must absorb it),
-    directory queues take it on the queue verbs behind a
-    :class:`RetryingBroker`.  Either way a drained queue under chaos is
-    the proof the flag exists to produce."""
-    schedule = None
+    store is wrapped in the seeded fault injector from
+    :mod:`repro.bench.faults`; the broker's own bounded retries must
+    absorb the weather, and a drained queue under chaos is the proof the
+    flag exists to produce."""
+    store = FileSystemObjectStore(args.store)
     if getattr(args, "fault_schedule", None) is not None:
-        schedule = FaultSchedule.load(args.fault_schedule)
-    if args.store is not None:
-        store = FileSystemObjectStore(args.store)
-        if schedule is not None:
-            store = FaultyObjectStore(store, schedule)
-        return ObjectStoreBroker(store, lease_ttl=args.lease_ttl)
-    broker: ShardBroker = LocalDirBroker(args.broker,
-                                         lease_ttl=args.lease_ttl)
-    if schedule is not None:
-        broker = RetryingBroker(FaultyBroker(broker, schedule))
-    return broker
+        store = FaultyObjectStore(store,
+                                  FaultSchedule.load(args.fault_schedule))
+    return ObjectStoreBroker(store, lease_ttl=args.lease_ttl)
+
+
+def _broker_executor(plan: str) -> str:
+    """The run-registry executor label of a broker run of ``plan``."""
+    return "store-broker" if plan == DEFAULT_PLAN else f"store-broker:{plan}"
 
 
 def _check_heartbeat(args) -> None:
@@ -1110,14 +1084,13 @@ def command_shard_submit(args) -> int:
             raise SystemExit(f"repro: {error}")
         except OSError as error:
             raise SystemExit(f"repro: cannot write to broker "
-                             f"{_queue_location(args)!r}: {error}")
+                             f"{args.store!r}: {error}")
     total = sum(len(manifest.specs) for manifest in plan.manifests)
-    backend = "--broker" if args.broker is not None else "--store"
     print(f"submitted {plan.shard_count} shard manifest(s), {total} trial "
           f"specs total (seed {args.seed}, {args.trials} trial(s)/task) "
-          f"as plan {args.plan!r} to broker {_queue_location(args)}")
-    print(f"Run 'repro shard work {backend} DIR' on any number of machines, "
-          f"then 'repro shard collect {backend} DIR --plan {args.plan}'.")
+          f"as plan {args.plan!r} to broker {args.store}")
+    print(f"Run 'repro shard work --store DIR' on any number of machines, "
+          f"then 'repro shard collect --store DIR --plan {args.plan}'.")
     return 0
 
 
@@ -1178,7 +1151,7 @@ def command_shard_work(args) -> int:
         except ShardError as error:
             raise SystemExit(f"repro: {error}")
         except OSError as error:
-            raise SystemExit(f"repro: broker {_queue_location(args)!r} I/O "
+            raise SystemExit(f"repro: broker {args.store!r} I/O "
                              f"failed: {error}")
         summary = f"{worker.worker_id}: {len(completed)} manifest(s) executed"
         if worker.stopping:
@@ -1203,8 +1176,6 @@ def command_shard_work(args) -> int:
                              f"{delta['misses']} miss(es)")
                 print(line)
         if completed:
-            base = ("store-broker" if args.store is not None
-                    else "dir-broker")
             # One record per plan this worker touched: concurrent tenants
             # stay distinguishable in `runs list`/`diff`, and each record's
             # grid identity is that plan's (plans may differ in every
@@ -1221,7 +1192,7 @@ def command_shard_work(args) -> int:
                     # against the identical slice, never a full run.
                     subset = _shard_subset(indices, reference.shard_count)
                 context: Dict[str, object] = {
-                    "broker": str(_queue_location(args)),
+                    "broker": args.store,
                     "worker_id": worker.worker_id,
                     "plan": plan_label,
                     "manifests": len(plan_shards),
@@ -1230,8 +1201,7 @@ def command_shard_work(args) -> int:
                 if delta is not None:
                     context["cache"] = dict(delta)
                 tele.record(
-                    executor=(base if plan_label == DEFAULT_PLAN
-                              else f"{base}:{plan_label}"),
+                    executor=_broker_executor(plan_label),
                     seed=reference.seed, trials=reference.trials,
                     jobs=args.jobs,
                     setting_keys=reference.setting_keys,
@@ -1265,7 +1235,7 @@ def command_shard_collect(args) -> int:
                 plan_stat = broker.status().plan(name)
             if plan_stat is not None and not plan_stat.complete:
                 raise SystemExit(f"repro: plan {name!r} on broker "
-                                 f"{_queue_location(args)!r} is "
+                                 f"{args.store!r} is "
                                  f"not complete: {plan_stat.render_line()}; "
                                  "run more workers or wait with --poll")
             # plan_stat is None (never submitted): fall through to
@@ -1276,15 +1246,14 @@ def command_shard_collect(args) -> int:
         except ShardError as error:
             raise SystemExit(f"repro: {error}")
         except OSError as error:
-            raise SystemExit(f"repro: broker {_queue_location(args)!r} I/O "
+            raise SystemExit(f"repro: broker {args.store!r} I/O "
                              f"failed: {error}")
         _emit_merged(shards, outcomes, report=args.report, export=args.export,
-                     extra_config={"broker": str(_queue_location(args)),
+                     extra_config={"broker": args.store,
                                    "plan": name})
         reference = shards[0].manifest
-        base = "store-broker" if args.store is not None else "dir-broker"
         tele.record(
-            executor=base if name == DEFAULT_PLAN else f"{base}:{name}",
+            executor=_broker_executor(name),
             seed=reference.seed, trials=reference.trials, jobs=1,
             setting_keys=reference.setting_keys, task_ids=reference.task_ids,
             results_by_setting={key: outcome.results
@@ -1295,7 +1264,7 @@ def command_shard_collect(args) -> int:
             # trial execution; the marker keeps it from silently diffing
             # as "same work" against records that actually ran trials.
             subset="collect",
-            context={"broker": str(_queue_location(args)), "role": "collect",
+            context={"broker": args.store, "role": "collect",
                      "plan": name, "shards": reference.shard_count})
     return 0
 
@@ -1306,7 +1275,7 @@ def command_shard_status(args) -> int:
     except ShardError as error:
         raise SystemExit(f"repro: {error}")
     except OSError as error:
-        raise SystemExit(f"repro: broker {_queue_location(args)!r} I/O "
+        raise SystemExit(f"repro: broker {args.store!r} I/O "
                          f"failed: {error}")
     if args.json:
         print(json.dumps(status.as_dict(), indent=2, sort_keys=True))
@@ -1328,7 +1297,7 @@ def _fleet_aggregate(args):
     except ShardError as error:
         raise SystemExit(f"repro: {error}")
     except OSError as error:
-        raise SystemExit(f"repro: broker {_queue_location(args)!r} I/O "
+        raise SystemExit(f"repro: broker {args.store!r} I/O "
                          f"failed: {error}")
     aggregator = FleetAggregator(max_age_s=args.max_age_s)
     aggregator.add_broker_status(status)

@@ -1,27 +1,26 @@
 """The broker-contract conformance suite: executable queue semantics.
 
-The :class:`~repro.bench.transport.ShardBroker` contract — submit / lease /
-renew / post / collect, lease expiry + reclaim, first-write-wins idempotent
-posts, :class:`~repro.bench.transport.BrokerStatus` accounting — is what
-keeps a distributed run bit-identical to serial, so it must hold for *every*
-backend, present and future.  This module turns the contract from prose into
-a reusable test suite: :class:`BrokerContractSuite` holds one test per
-clause, written only against the abstract contract, and a concrete test
-class runs the whole suite against each backend by inheriting it next to a
-``broker_kind`` fixture (see ``tests/test_broker_contract.py``, which covers
-all four shipped configurations: :class:`InMemoryBroker`,
-:class:`LocalDirBroker`, and :class:`ObjectStoreBroker` over both the
-in-memory and the filesystem object store).
+The :class:`~repro.bench.transport.ObjectStoreBroker` contract — submit /
+lease / renew / post / collect, lease expiry + reclaim, first-write-wins
+idempotent posts, :class:`~repro.bench.transport.BrokerStatus` accounting —
+is what keeps a distributed run bit-identical to serial, so it must hold
+over *every* object store, present and future.  This module turns the
+contract from prose into a reusable test suite: :class:`BrokerContractSuite`
+holds one test per clause, written only against the broker's public verbs,
+and a concrete test class runs the whole suite against each store by
+inheriting it next to a ``broker_kind`` fixture (see
+``tests/test_broker_contract.py``, which covers the in-memory and the
+filesystem object store, each with and without injected chaos, and each
+again with submitter and workers on separate broker handles).
 
-To keep the suite cheap across N backends, manifest executions are memoized
+To keep the suite cheap across N stores, manifest executions are memoized
 on the (frozen, hashable) manifest: identical manifests produce identical
 results — that is the determinism the whole transport layer is built on —
 so each distinct manifest is executed once per test session no matter how
-many backends the suite runs against.
+many stores the suite runs against.
 
-Adding a broker backend?  Inherit the suite with your own ``broker_kind``
-and make it pass unchanged; extending :func:`make_broker` here enrolls the
-backend in every existing conformance run.
+Adding an object store?  Extend :func:`make_broker` here to enroll it in
+every existing conformance run; every clause must pass unchanged.
 """
 
 from __future__ import annotations
@@ -33,13 +32,10 @@ from typing import Dict, Tuple
 import pytest
 
 from repro.bench.faults import (
-    BROKER_OPS,
     STORE_OPS,
     FaultSchedule,
     FaultSpec,
-    FaultyBroker,
     FaultyObjectStore,
-    RetryingBroker,
 )
 
 from repro.bench.runner import (
@@ -66,11 +62,9 @@ from repro.bench.telemetry import AggregatingSink
 from repro.bench.transport import (
     DEFAULT_PLAN,
     BrokerStatus,
-    InMemoryBroker,
-    LocalDirBroker,
     ObjectStoreBroker,
     PlanStatus,
-    ShardBroker,
+    ShardWorker,
 )
 
 #: A small two-app grid that still exercises both interface stacks.
@@ -81,21 +75,27 @@ TASKS = ("ppt-01-blue-background", "word-02-landscape",
          "syn:s3-t2-g1-c2-y3-m2-d2-cy1-x1-n4:0002")
 SETTINGS = ("gui-gpt5-medium", "dmi-gpt5-medium")
 
-#: Every shipped broker configuration; the conformance suite runs against
-#: each of these.
-ALL_BROKER_KINDS = ("memory", "dir", "store-memory", "store-fs")
+#: Every shipped object store under the broker; the conformance suite runs
+#: against each of these.
+ALL_BROKER_KINDS = ("store-memory", "store-fs")
 
-#: The same four configurations under a seeded hostile
+#: The same stores under a seeded hostile
 #: :class:`~repro.bench.faults.FaultSchedule`: every clause of the suite
-#: must hold verbatim while transient faults rain on every operation,
-#: because bounded retry (the store broker's built-in policy, or
-#: :class:`~repro.bench.faults.RetryingBroker` for the backends with no
-#: store underneath) is supposed to make injected weather invisible.
+#: must hold verbatim while transient faults rain on every store
+#: operation, because the broker's built-in bounded retry is supposed to
+#: make injected weather invisible.
 CHAOS_BROKER_KINDS = tuple(f"chaos-{kind}" for kind in ALL_BROKER_KINDS)
+
+#: The same stores in the deployed shape: ``submit``/``status``/``collect``
+#: run on one broker handle and ``lease``/``renew``/``post`` on another,
+#: each over its own view of the one store (see :class:`SplitHandleBroker`).
+#: Every clause must hold verbatim, which proves no verb leans on state
+#: that lives in the handle instead of the store.
+SPLIT_BROKER_KINDS = tuple(f"split-{kind}" for kind in ALL_BROKER_KINDS)
 
 #: The storm definition the chaos kinds run under: transient errors (in
 #: bursts of two, so single-retry consumers would still fail) on every
-#: store and broker op.  Latency and CAS-loss/truncation injection are
+#: store op.  Latency and CAS-loss/truncation injection are
 #: exercised by dedicated clauses/tests — they change *visible* timing or
 #: return values, which the exact clause assertions intentionally pin.
 HOSTILE_ERROR_SPEC = FaultSpec(error_rate=0.15, error_burst=2)
@@ -106,7 +106,7 @@ CHAOS_SEED = 8
 
 def hostile_schedule(seed: int = CHAOS_SEED) -> FaultSchedule:
     return FaultSchedule(seed=seed, ops={
-        op: HOSTILE_ERROR_SPEC for op in (*STORE_OPS, *BROKER_OPS)})
+        op: HOSTILE_ERROR_SPEC for op in STORE_OPS})
 
 
 def chaos_retry_policy() -> RetryPolicy:
@@ -116,30 +116,75 @@ def chaos_retry_policy() -> RetryPolicy:
                        sleep=lambda _delay: None)
 
 
+def make_store(kind: str, tmp_path):
+    """A fresh object store of the given base kind under tmp_path."""
+    if kind == "store-memory":
+        return InMemoryObjectStore()
+    if kind == "store-fs":
+        return FileSystemObjectStore(tmp_path / "store")
+    raise ValueError(f"unknown broker kind {kind!r}")
+
+
 def make_chaos_broker(kind: str, tmp_path,
                       schedule: FaultSchedule = None,
-                      **kwargs) -> ShardBroker:
-    """A *base*-kind broker with fault injection + retry armour layered on.
+                      **kwargs) -> ObjectStoreBroker:
+    """A *base*-kind broker whose store takes seeded fault injection; the
+    broker's own bounded retries (a deep, sleepless budget) must absorb
+    the weather."""
+    return ObjectStoreBroker(
+        faulty_store(make_store(kind, tmp_path), schedule),
+        retry=chaos_retry_policy(), **kwargs)
 
-    Store-backed kinds inject at the store layer (the broker's own bounded
-    retries must absorb the weather); memory/dir kinds inject on the queue
-    verbs and wear :class:`RetryingBroker` as the consumer-side armour.
-    """
+
+def faulty_store(store, schedule: FaultSchedule = None) -> FaultyObjectStore:
+    """``store`` under ``schedule`` (default: the hostile one)."""
     if schedule is None:
         schedule = hostile_schedule()
     no_sleep = lambda _delay: None  # noqa: E731 — injected latency is 0
-    if kind == "store-memory":
-        return ObjectStoreBroker(
-            FaultyObjectStore(InMemoryObjectStore(), schedule, sleep=no_sleep),
-            retry=chaos_retry_policy(), **kwargs)
-    if kind == "store-fs":
-        return ObjectStoreBroker(
-            FaultyObjectStore(FileSystemObjectStore(tmp_path / "store"),
-                              schedule, sleep=no_sleep),
-            retry=chaos_retry_policy(), **kwargs)
-    inner = make_broker(kind, tmp_path, **kwargs)
-    return RetryingBroker(FaultyBroker(inner, schedule, sleep=no_sleep),
-                          policy=chaos_retry_policy())
+    return FaultyObjectStore(store, schedule, sleep=no_sleep)
+
+
+class SplitHandleBroker:
+    """Submitter and worker on two broker handles over one store.
+
+    A real run never shares a broker object between the machine that
+    submits and the machines that work: each process builds its own
+    handle.  ``lease``/``renew``/``post`` go to the worker handle, every
+    other attribute (``submit``, ``status``, ``collect``, ``lease_ttl``,
+    …) to the submitter handle, so anything one verb hands another must
+    travel through the store.
+    """
+
+    WORKER_VERBS = frozenset({"lease", "renew", "post"})
+
+    def __init__(self, submitter: ObjectStoreBroker,
+                 worker: ObjectStoreBroker) -> None:
+        self.submitter = submitter
+        self.worker = worker
+
+    def __getattr__(self, name: str):
+        handle = self.worker if name in self.WORKER_VERBS else self.submitter
+        return getattr(handle, name)
+
+
+def make_split_broker(kind: str, tmp_path,
+                      schedule: FaultSchedule = None,
+                      **kwargs) -> SplitHandleBroker:
+    """A *base*-kind store behind two broker handles (see
+    :class:`SplitHandleBroker`).  A filesystem store is opened twice on
+    one root, as two processes would; the in-memory store can only be
+    shared.  With a ``schedule``, both views take its faults."""
+    first = make_store(kind, tmp_path)
+    second = make_store(kind, tmp_path) if kind == "store-fs" else first
+    handles = []
+    for store in (first, second):
+        if schedule is not None:
+            handles.append(ObjectStoreBroker(faulty_store(store, schedule),
+                                             retry=chaos_retry_policy(),
+                                             **kwargs))
+        else:
+            handles.append(ObjectStoreBroker(store, **kwargs))
+    return SplitHandleBroker(*handles)
 
 
 class FakeClock:
@@ -166,7 +211,7 @@ def default_status(**counts) -> BrokerStatus:
         PlanStatus(name=DEFAULT_PLAN, priority=0, **counts),))
 
 
-def drain(broker: ShardBroker, worker_id: str = "worker-a") -> list:
+def drain(broker: ObjectStoreBroker, worker_id: str = "worker-a") -> list:
     """Lease+post until nothing is leasable; the posted leases, in order."""
     posted = []
     while True:
@@ -177,26 +222,26 @@ def drain(broker: ShardBroker, worker_id: str = "worker-a") -> list:
         posted.append(lease)
 
 
-def make_broker(kind: str, tmp_path, **kwargs) -> ShardBroker:
+def make_broker(kind: str, tmp_path, schedule: FaultSchedule = None,
+                **kwargs) -> ObjectStoreBroker:
     """One broker of the given kind, backed by fresh state under tmp_path.
 
-    ``chaos-*`` kinds are the same backends wrapped in a seeded hostile
-    :class:`FaultSchedule` plus the matching retry armour (see
-    :func:`make_chaos_broker`); ``kwargs`` always reach the *inner*
-    broker, so clauses can keep steering ``lease_ttl``/``clock``/``sink``.
+    ``chaos-*`` kinds are the same stores wrapped in a seeded hostile
+    :class:`FaultSchedule` (see :func:`make_chaos_broker`); ``split-*``
+    kinds put the submitter and the workers on separate handles (see
+    :func:`make_split_broker`).  An explicit ``schedule`` replaces any
+    kind's weather with its own.  ``kwargs`` always reach the broker, so
+    clauses can keep steering ``lease_ttl``/``clock``/``sink``.
     """
+    if kind.startswith("split-"):
+        return make_split_broker(kind[len("split-"):], tmp_path,
+                                 schedule=schedule, **kwargs)
     if kind.startswith("chaos-"):
-        return make_chaos_broker(kind[len("chaos-"):], tmp_path, **kwargs)
-    if kind == "memory":
-        return InMemoryBroker(**kwargs)
-    if kind == "dir":
-        return LocalDirBroker(tmp_path / "broker", **kwargs)
-    if kind == "store-memory":
-        return ObjectStoreBroker(InMemoryObjectStore(), **kwargs)
-    if kind == "store-fs":
-        return ObjectStoreBroker(FileSystemObjectStore(tmp_path / "store"),
-                                 **kwargs)
-    raise ValueError(f"unknown broker kind {kind!r}")
+        return make_chaos_broker(kind[len("chaos-"):], tmp_path,
+                                 schedule=schedule, **kwargs)
+    if schedule is not None:
+        return make_chaos_broker(kind, tmp_path, schedule=schedule, **kwargs)
+    return ObjectStoreBroker(make_store(kind, tmp_path), **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -213,6 +258,50 @@ def run_manifest(manifest: ShardManifest) -> ShardResults:
     return _MANIFEST_RESULTS[manifest]
 
 
+class MemoizedExecutor(ManifestExecutor):
+    """A :class:`ManifestExecutor` that answers from :func:`run_manifest`,
+    so worker-loop clauses cost no extra executions."""
+
+    def run(self, manifest, progress=None):
+        return run_manifest(manifest)
+
+
+def run_workers(workers, timeout: float = 60.0) -> list:
+    """Run ``workers`` concurrently; each one's posted results, in order.
+
+    A loop still running after ``timeout`` seconds is stopped and fails
+    the clause, so a broken broker cannot hang the suite.
+    """
+    outcomes = [None] * len(workers)
+
+    def work(index: int) -> None:
+        outcomes[index] = workers[index].run()
+
+    threads = [threading.Thread(target=work, args=(index,))
+               for index in range(len(workers))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=timeout)
+    stuck = [worker.worker_id
+             for worker, thread in zip(workers, threads) if thread.is_alive()]
+    for worker in workers:
+        worker.stop()
+    for thread in threads:
+        thread.join()
+    assert not stuck, f"worker loop(s) {stuck} never finished"
+    return outcomes
+
+
+def assert_matches_serial(shards, trials=1) -> None:
+    """Collected ``shards`` merge byte-identical to the serial run."""
+    merged = merge_shard_results(shards)
+    reference = serial_reference(trials=trials)
+    for key in reference:
+        assert [r.as_dict() for r in reference[key].results] \
+            == [r.as_dict() for r in merged[key].results]
+
+
 def serial_reference(seed=DEFAULT_SEED, trials=1):
     """The single-machine serial outcomes every broker path must match."""
     key = (seed, trials)
@@ -226,7 +315,7 @@ def serial_reference(seed=DEFAULT_SEED, trials=1):
 
 
 class BrokerContractSuite:
-    """One test per contract clause; backend-agnostic by construction.
+    """One test per contract clause; store-agnostic by construction.
 
     Concrete classes provide a ``broker_kind`` fixture naming one of
     :data:`ALL_BROKER_KINDS` (typically via ``@pytest.fixture(params=…)``).
@@ -234,7 +323,7 @@ class BrokerContractSuite:
 
     @pytest.fixture
     def fresh_broker(self, broker_kind, tmp_path):
-        def factory(**kwargs) -> ShardBroker:
+        def factory(**kwargs) -> ObjectStoreBroker:
             return make_broker(broker_kind, tmp_path, **kwargs)
 
         return factory
@@ -317,7 +406,7 @@ class BrokerContractSuite:
         assert broker.status() == BrokerStatus(plans=())  # nothing landed
 
     def test_rejects_empty_manifests_at_submit(self, fresh_broker):
-        """Empty plans/shards never enter the queue on any backend.
+        """Empty plans/shards never enter the queue on any store.
 
         ``plan_shards`` already refuses ``shards > len(specs)``, but
         manifests are plain data — an over-sharded hand-built plan must be
@@ -340,6 +429,56 @@ class BrokerContractSuite:
         drain(broker)
         merged = merge_shard_results(broker.collect())
         assert all(outcome.results for outcome in merged.values())
+
+    def test_collected_shards_carry_their_submitted_manifests(self,
+                                                             fresh_broker):
+        """Manifests survive the store round trip unchanged: what comes
+        back from collect is exactly what was submitted, shard by shard."""
+        broker = fresh_broker()
+        plan = small_plan(shards=3, trials=2)
+        broker.submit(plan)
+        drain(broker)
+        assert [shard.manifest for shard in broker.collect()] \
+            == list(plan.manifests)
+
+    def test_collect_of_a_partial_plan_returns_only_posted_shards(
+            self, fresh_broker):
+        """Collect never invents or blocks on missing shards; the merge is
+        what refuses an incomplete plan."""
+        broker = fresh_broker()
+        broker.submit(small_plan(shards=3, trials=2))
+        lease = broker.lease("worker-a")
+        broker.post(lease, run_manifest(lease.manifest))
+        collected = broker.collect()
+        assert [shard.manifest for shard in collected] == [lease.manifest]
+        with pytest.raises(ShardError, match="incomplete plan"):
+            merge_shard_results(collected)
+
+    def test_collect_is_repeatable_and_consumes_nothing(self, fresh_broker):
+        broker = fresh_broker()
+        broker.submit(small_plan(shards=2))
+        drain(broker)
+        before = broker.status()
+        first = broker.collect()
+        second = broker.collect()
+        assert [shard.as_dict() for shard in first] \
+            == [shard.as_dict() for shard in second]
+        assert broker.status() == before
+        assert broker.lease("worker-b") is None  # nothing went back to queued
+        assert_matches_serial(second)
+
+    def test_done_shards_are_never_leased_again_after_their_deadline(
+            self, fresh_broker):
+        clock = FakeClock()
+        broker = fresh_broker(lease_ttl=60.0, clock=clock)
+        broker.submit(small_plan(shards=1))
+        lease = broker.lease("worker-a")
+        assert broker.post(lease, run_manifest(lease.manifest)) is True
+        clock.advance(10_000.0)  # long past the (now moot) lease deadline
+        assert broker.lease("worker-b") is None
+        assert broker.renew(lease) is None
+        assert broker.status() == default_status(queued=0, leased=0, done=1,
+                                                 shard_count=1)
 
     # ------------------------------------------------------------------
     # multi-plan namespaces
@@ -387,6 +526,35 @@ class BrokerContractSuite:
         first = broker.lease("worker-a")
         assert first is not None and first.plan == "high"
 
+    def test_priority_breaks_ties_but_never_starves_a_lower_plan(
+            self, fresh_broker):
+        """Priority only orders equally-served plans: the high plan leads
+        each round, the low plan still gets every other lease."""
+        broker = fresh_broker()
+        broker.submit(small_plan(shards=2), name="low", priority=0)
+        broker.submit(small_plan(shards=2), name="high", priority=5)
+        sequence = [lease.plan for lease in drain(broker)]
+        assert sequence == ["high", "low", "high", "low"]
+
+    def test_rejects_non_integer_priorities(self, fresh_broker):
+        broker = fresh_broker()
+        for bad in ("high", 1.5, True, None):
+            with pytest.raises(ShardError,
+                               match="priority must be an integer"):
+                broker.submit(small_plan(shards=1), priority=bad)
+        assert broker.status() == BrokerStatus(plans=())  # nothing landed
+
+    def test_plan_names_lists_every_submitted_plan_sorted(self,
+                                                          fresh_broker):
+        broker = fresh_broker()
+        assert broker.plan_names() == ()
+        broker.submit(small_plan(shards=1), name="zeta")
+        broker.submit(small_plan(shards=1))
+        broker.submit(small_plan(shards=1), name="alpha")
+        assert broker.plan_names() == ("alpha", DEFAULT_PLAN, "zeta")
+        assert [row.name for row in broker.status().plans] \
+            == ["alpha", DEFAULT_PLAN, "zeta"]
+
     def test_drain_of_one_plan_leaves_the_other_leasable(self, fresh_broker):
         broker = fresh_broker()
         broker.submit(small_plan(shards=1), name="small")
@@ -429,7 +597,7 @@ class BrokerContractSuite:
             broker.post(lease, run_manifest(alien.manifests[0]))
 
     def test_post_rejects_out_of_range_shard_index(self, fresh_broker):
-        """Same plan identity but an impossible shard index: every backend
+        """Same plan identity but an impossible shard index: every store
         must refuse, or status() could report complete with a shard
         missing."""
         broker = fresh_broker()
@@ -466,6 +634,37 @@ class BrokerContractSuite:
         broker.post(reclaimed, run_manifest(reclaimed.manifest))
         assert broker.status().complete
         assert list(merge_shard_results(broker.collect()))  # merges cleanly
+
+    def test_status_reports_an_expired_unreclaimed_lease_as_queued(
+            self, fresh_broker):
+        """An expired lease is leasable again, so status counts it queued
+        even before anyone reclaims it."""
+        clock = FakeClock()
+        broker = fresh_broker(lease_ttl=60.0, clock=clock)
+        broker.submit(small_plan(shards=2))
+        broker.lease("worker-a")
+        assert broker.status() == default_status(queued=1, leased=1, done=0,
+                                                 shard_count=2)
+        clock.advance(61.0)
+        assert broker.status() == default_status(queued=2, leased=0, done=0,
+                                                 shard_count=2)
+        assert broker.lease("worker-b") is not None
+        assert broker.status() == default_status(queued=1, leased=1, done=0,
+                                                 shard_count=2)
+
+    def test_skew_allowance_grants_extra_life_to_leases(self, fresh_broker):
+        clock = FakeClock()
+        broker = fresh_broker(lease_ttl=60.0, skew_allowance=5.0,
+                              clock=clock)
+        broker.submit(small_plan(shards=1))
+        held = broker.lease("worker-a")
+        assert held is not None
+        clock.advance(61.0)  # past the ttl, inside the skew grace
+        assert broker.lease("worker-b") is None
+        assert broker.status().leased == 1  # status honours the grace too
+        clock.advance(4.5)  # now past ttl + allowance
+        reclaimed = broker.lease("worker-b")
+        assert reclaimed is not None and reclaimed.worker_id == "worker-b"
 
     def test_straggler_post_after_reclaim_is_harmless(self, fresh_broker):
         """The crashed worker was only slow: it posts after its lease was
@@ -531,6 +730,32 @@ class BrokerContractSuite:
         broker.post(renewed, run_manifest(renewed.manifest))
         assert broker.status().complete
 
+    def test_renew_changes_only_the_deadline(self, fresh_broker):
+        clock = FakeClock()
+        broker = fresh_broker(lease_ttl=60.0, clock=clock)
+        broker.submit(small_plan(shards=2))
+        lease = broker.lease("worker-a")
+        clock.advance(10.0)
+        renewed = broker.renew(lease)
+        assert renewed.deadline == clock() + 60.0
+        assert dataclasses.replace(renewed, deadline=lease.deadline) == lease
+
+    def test_relet_to_the_same_worker_invalidates_its_stale_handle(
+            self, fresh_broker):
+        """Each (re)lease is a new grant: a worker that lets its lease
+        expire and leases the same shard again cannot renew through the
+        handle it held before."""
+        clock = FakeClock()
+        broker = fresh_broker(lease_ttl=60.0, clock=clock)
+        broker.submit(small_plan(shards=1))
+        stale = broker.lease("worker-a")
+        clock.advance(61.0)
+        fresh = broker.lease("worker-a")
+        assert fresh is not None and fresh.manifest == stale.manifest
+        assert fresh.token != stale.token
+        assert broker.renew(stale) is None
+        assert broker.renew(fresh) is not None
+
     def test_renew_after_post_reports_the_lease_gone(self, fresh_broker):
         broker = fresh_broker()
         broker.submit(small_plan(shards=1))
@@ -577,6 +802,38 @@ class BrokerContractSuite:
                 fresh_broker(lease_ttl=ttl)
 
     # ------------------------------------------------------------------
+    # the worker pull loop on top of the verbs
+    # ------------------------------------------------------------------
+    def test_worker_drains_the_queue_bit_identical_to_serial(self,
+                                                             fresh_broker):
+        broker = fresh_broker()
+        broker.submit(small_plan(shards=3, trials=2))
+        worker = ShardWorker(broker, MemoizedExecutor(), worker_id="w0",
+                             poll=0)
+        [completed] = run_workers([worker])
+        assert sorted(shard.manifest.shard_index for shard in completed) \
+            == [0, 1, 2]
+        assert worker.abandoned == 0
+        assert broker.status().complete
+        assert_matches_serial(broker.collect(), trials=2)
+
+    def test_racing_workers_post_every_shard_exactly_once(self,
+                                                          fresh_broker):
+        """Two workers drain one plan concurrently: every shard runs on
+        exactly one of them, and the merge still equals serial."""
+        broker = fresh_broker()
+        broker.submit(small_plan(shards=3, trials=2))
+        workers = [ShardWorker(broker, MemoizedExecutor(),
+                               worker_id=f"w{index}", poll=0)
+                   for index in range(2)]
+        indexes = sorted(shard.manifest.shard_index
+                         for completed in run_workers(workers)
+                         for shard in completed)
+        assert indexes == [0, 1, 2]
+        assert broker.status().complete
+        assert_matches_serial(broker.collect(), trials=2)
+
+    # ------------------------------------------------------------------
     # chaos clauses: the contract under adversarial weather
     # ------------------------------------------------------------------
     def test_cas_storm_exactly_one_lease_wins(self, fresh_broker):
@@ -616,18 +873,13 @@ class BrokerContractSuite:
 
     def test_partial_list_reads_never_drop_a_queued_shard(self, broker_kind,
                                                           tmp_path):
-        """Truncated ``list_prefix`` pages (or error storms, for backends
-        with no store to truncate) may delay progress but never lose work:
-        the queue still drains to a complete, mergeable plan."""
-        base = broker_kind.removeprefix("chaos-")
-        if base.startswith("store"):
-            # Half of every listing call returns only a prefix of the
-            # truth — the eventually-consistent page a cloud store serves.
-            schedule = FaultSchedule(seed=88, ops={
-                "list_prefix": FaultSpec(truncate_rate=0.5)})
-        else:
-            schedule = hostile_schedule(seed=88)
-        broker = make_chaos_broker(base, tmp_path, schedule=schedule)
+        """Truncated ``list_prefix`` pages may delay progress but never lose
+        work: the queue still drains to a complete, mergeable plan."""
+        # Half of every listing call returns only a prefix of the truth —
+        # the eventually-consistent page a cloud store serves.
+        schedule = FaultSchedule(seed=88, ops={
+            "list_prefix": FaultSpec(truncate_rate=0.5)})
+        broker = make_broker(broker_kind, tmp_path, schedule=schedule)
         broker.submit(small_plan(shards=4))
         for _ in range(600):
             row = broker.status().plan(DEFAULT_PLAN)

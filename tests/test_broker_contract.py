@@ -1,18 +1,21 @@
-"""Run the broker-contract conformance suite against every shipped backend.
+"""Run the broker-contract conformance suite over every shipped object store.
 
-``tests/broker_contract.py`` holds the suite; this module enrolls all four
-broker configurations — :class:`~repro.bench.transport.InMemoryBroker`,
-:class:`~repro.bench.transport.LocalDirBroker`, and
+``tests/broker_contract.py`` holds the suite; this module enrolls
 :class:`~repro.bench.transport.ObjectStoreBroker` over the in-memory and the
-filesystem object store — so every contract clause is asserted identically
-across backends.  Backend-specific behaviour (lease filenames, CAS races,
-on-disk corruption) lives in ``tests/test_transport.py`` instead.
+filesystem object store, so every contract clause is asserted identically
+across stores.  Store-specific behaviour (CAS races, corrupt objects) lives
+in ``tests/test_transport.py`` instead.
 
-:class:`TestBrokerContractChaos` enrolls the same four backends *again*
-under a seeded hostile :class:`~repro.bench.faults.FaultSchedule` (transient
-error bursts on every operation): bounded retry is supposed to make that
+:class:`TestBrokerContractChaos` enrolls the same stores *again* under a
+seeded hostile :class:`~repro.bench.faults.FaultSchedule` (transient error
+bursts on every store operation): bounded retry is supposed to make that
 weather invisible, so every clause must hold verbatim — same assertions,
 zero accommodations.
+
+:class:`TestBrokerContractSplit` enrolls the same stores in the deployed
+shape, with the submitter and the workers on separate broker handles, so
+no clause can pass on state a handle keeps in memory instead of in the
+store.
 """
 
 import pytest
@@ -20,12 +23,13 @@ import pytest
 from broker_contract import (
     ALL_BROKER_KINDS,
     CHAOS_BROKER_KINDS,
+    SPLIT_BROKER_KINDS,
     BrokerContractSuite,
 )
 
 
 class TestBrokerContract(BrokerContractSuite):
-    """All contract clauses × all shipped broker backends."""
+    """All contract clauses × all shipped object stores."""
 
     @pytest.fixture(params=ALL_BROKER_KINDS)
     def broker_kind(self, request) -> str:
@@ -33,8 +37,17 @@ class TestBrokerContract(BrokerContractSuite):
 
 
 class TestBrokerContractChaos(BrokerContractSuite):
-    """All contract clauses × all backends × a hostile fault schedule."""
+    """All contract clauses × all stores × a hostile fault schedule."""
 
     @pytest.fixture(params=CHAOS_BROKER_KINDS)
+    def broker_kind(self, request) -> str:
+        return request.param
+
+
+class TestBrokerContractSplit(BrokerContractSuite):
+    """All contract clauses × all stores × submitter and workers on
+    separate broker handles."""
+
+    @pytest.fixture(params=SPLIT_BROKER_KINDS)
     def broker_kind(self, request) -> str:
         return request.param

@@ -300,52 +300,23 @@ def test_shard_plan_rejects_oversharding(tmp_path):
 BROKER_GRID = SHARD_GRID[:-1] + ["2"]
 
 
-def test_shard_submit_work_collect_matches_single_machine_run(tmp_path, capsys):
-    broker = tmp_path / "queue"
-    cache = tmp_path / "cache"
-    assert main(["shard", "submit", "--broker", str(broker), "--shards", "2"]
-                + BROKER_GRID) == 0
-    assert "submitted 2 shard manifest(s)" in capsys.readouterr().out
-    # Two sequential workers sharing the cache dir, like two machines.
-    assert main(["shard", "work", "--broker", str(broker), "--worker-id", "w1",
-                 "--cache-dir", str(cache), "--max-manifests", "1"]) == 0
-    first = capsys.readouterr().out
-    assert "w1: 1 manifest(s) executed" in first
-    assert main(["shard", "work", "--broker", str(broker), "--worker-id", "w2",
-                 "--cache-dir", str(cache)]) == 0
-    second = capsys.readouterr().out
-    assert "w2: 1 manifest(s) executed" in second
-    # Satellite guarantee: the second worker's cache never misses.
-    assert "0 miss(es)" in second and "0 miss(es)" not in first
-    merged = tmp_path / "merged.json"
-    assert main(["shard", "collect", "--broker", str(broker),
-                 "--export", str(merged)]) == 0
-    capsys.readouterr()
-    single = tmp_path / "single.json"
-    assert main(["run", *BROKER_GRID, "--export", str(single)]) == 0
-    capsys.readouterr()
-    merged_payload = json.loads(merged.read_text())
-    assert merged_payload["settings"] == json.loads(single.read_text())["settings"]
-    assert merged_payload["config"]["broker"] == str(broker)
-
-
 def test_shard_collect_reports_incomplete_queue(tmp_path, capsys):
     broker = tmp_path / "queue"
-    main(["shard", "submit", "--broker", str(broker), "--shards", "2"]
+    main(["shard", "submit", "--store", str(broker), "--shards", "2"]
          + SHARD_GRID)
-    main(["shard", "work", "--broker", str(broker), "--max-manifests", "1"])
+    main(["shard", "work", "--store", str(broker), "--max-manifests", "1"])
     capsys.readouterr()
     with pytest.raises(SystemExit, match="not complete") as exc:
-        main(["shard", "collect", "--broker", str(broker)])
+        main(["shard", "collect", "--store", str(broker)])
     assert "1/2 done" in str(exc.value)
 
 
 def test_shard_work_streams_trial_progress(tmp_path, capsys):
     broker = tmp_path / "queue"
-    main(["shard", "submit", "--broker", str(broker), "--shards", "1"]
+    main(["shard", "submit", "--store", str(broker), "--shards", "1"]
          + SHARD_GRID)
     capsys.readouterr()
-    assert main(["shard", "work", "--broker", str(broker), "--progress"]) == 0
+    assert main(["shard", "work", "--store", str(broker), "--progress"]) == 0
     captured = capsys.readouterr()
     lines = [line for line in captured.err.splitlines() if line.startswith("[")]
     assert len(lines) == 4  # 2 settings x 2 tasks x 1 trial
@@ -354,26 +325,26 @@ def test_shard_work_streams_trial_progress(tmp_path, capsys):
 
 def test_shard_submit_refuses_a_second_plan(tmp_path, capsys):
     broker = tmp_path / "queue"
-    assert main(["shard", "submit", "--broker", str(broker), "--shards", "1"]
+    assert main(["shard", "submit", "--store", str(broker), "--shards", "1"]
                 + SHARD_GRID) == 0
     capsys.readouterr()
     with pytest.raises(SystemExit, match="already holds a plan"):
-        main(["shard", "submit", "--broker", str(broker), "--shards", "1"]
+        main(["shard", "submit", "--store", str(broker), "--shards", "1"]
              + SHARD_GRID)
 
 
 def test_shard_collect_on_unsubmitted_broker_errors_cleanly(tmp_path):
     with pytest.raises(SystemExit, match="no plan has been submitted"):
-        main(["shard", "collect", "--broker", str(tmp_path / "empty")])
+        main(["shard", "collect", "--store", str(tmp_path / "empty")])
 
 
 def test_shard_work_rejects_bad_flags(tmp_path):
     for poll in ("0", "-1", "nan", "inf"):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["shard", "work", "--broker", "q",
+            build_parser().parse_args(["shard", "work", "--store", "q",
                                        "--poll", poll])
     with pytest.raises(SystemExit):
-        build_parser().parse_args(["shard", "work", "--broker", "q",
+        build_parser().parse_args(["shard", "work", "--store", "q",
                                    "--max-manifests", "0"])
 
 
@@ -395,7 +366,7 @@ def test_shard_merge_report_prints_figures(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# shard submit / work / collect over the object-store broker
+# shard submit / work / collect: round trip, lease and heartbeat flags
 # ----------------------------------------------------------------------
 def test_shard_submit_work_collect_via_object_store_matches_single_run(
         tmp_path, capsys):
@@ -406,14 +377,19 @@ def test_shard_submit_work_collect_via_object_store_matches_single_run(
     submitted = capsys.readouterr().out
     assert "submitted 2 shard manifest(s)" in submitted
     assert "--store" in submitted  # the hint names the chosen backend
-    # Two sequential workers with explicit lease/heartbeat tuning.
+    # Two sequential workers sharing the cache dir, like two machines,
+    # with explicit lease/heartbeat tuning.
     assert main(["shard", "work", "--store", str(store), "--worker-id", "w1",
                  "--lease-ttl", "120", "--heartbeat", "5",
                  "--cache-dir", str(cache), "--max-manifests", "1"]) == 0
-    assert "w1: 1 manifest(s) executed" in capsys.readouterr().out
+    first = capsys.readouterr().out
+    assert "w1: 1 manifest(s) executed" in first
     assert main(["shard", "work", "--store", str(store), "--worker-id", "w2",
                  "--heartbeat", "0", "--cache-dir", str(cache)]) == 0
-    assert "w2: 1 manifest(s) executed" in capsys.readouterr().out
+    second = capsys.readouterr().out
+    assert "w2: 1 manifest(s) executed" in second
+    # The second worker's cache never misses.
+    assert "0 miss(es)" in second and "0 miss(es)" not in first
     merged = tmp_path / "merged.json"
     assert main(["shard", "collect", "--store", str(store),
                  "--export", str(merged)]) == 0
@@ -426,14 +402,15 @@ def test_shard_submit_work_collect_via_object_store_matches_single_run(
     assert merged_payload["config"]["broker"] == str(store)
 
 
-def test_shard_queue_commands_require_exactly_one_backend(tmp_path):
+def test_queue_commands_require_a_store(tmp_path):
     for command in (["shard", "submit", "--shards", "1"],
-                    ["shard", "work"], ["shard", "collect"]):
-        with pytest.raises(SystemExit):  # neither --broker nor --store
+                    ["shard", "work"], ["shard", "collect"],
+                    ["shard", "status"], ["fleet", "status"],
+                    ["fleet", "advise"]):
+        with pytest.raises(SystemExit):  # no --store: nowhere to queue
             build_parser().parse_args(command)
-        with pytest.raises(SystemExit):  # both at once
-            build_parser().parse_args(command + ["--broker", "a",
-                                                 "--store", "b"])
+        assert build_parser().parse_args(command + ["--store", "q"]).store \
+            == "q"
 
 
 def test_shard_queue_commands_reject_nonpositive_lease_ttl():
@@ -441,20 +418,20 @@ def test_shard_queue_commands_reject_nonpositive_lease_ttl():
         for command in (["shard", "submit", "--shards", "1"],
                         ["shard", "work"], ["shard", "collect"]):
             with pytest.raises(SystemExit):
-                build_parser().parse_args(command + ["--broker", "q",
+                build_parser().parse_args(command + ["--store", "q",
                                                      "--lease-ttl", value])
 
 
 def test_shard_work_rejects_heartbeat_at_or_above_lease_ttl(tmp_path):
     with pytest.raises(SystemExit, match="shorter than") as excinfo:
-        main(["shard", "work", "--broker", str(tmp_path / "q"),
+        main(["shard", "work", "--store", str(tmp_path / "q"),
               "--lease-ttl", "30", "--heartbeat", "30"])
     assert "--lease-ttl" in str(excinfo.value)  # names both flags
     with pytest.raises(SystemExit, match="shorter than"):
-        main(["shard", "work", "--broker", str(tmp_path / "q"),
+        main(["shard", "work", "--store", str(tmp_path / "q"),
               "--heartbeat", "1000"])  # >= the default 900s ttl
     with pytest.raises(SystemExit):  # negative: rejected by argparse
-        build_parser().parse_args(["shard", "work", "--broker", "q",
+        build_parser().parse_args(["shard", "work", "--store", "q",
                                    "--heartbeat", "-1"])
 
 
@@ -479,29 +456,29 @@ def test_shard_named_plans_submit_work_status_collect(tmp_path, capsys):
     status` shows a per-plan table, and each collect exports exactly the
     single-machine run."""
     broker = tmp_path / "queue"
-    assert main(["shard", "submit", "--broker", str(broker), "--shards", "1",
+    assert main(["shard", "submit", "--store", str(broker), "--shards", "1",
                  "--plan", "nightly", "--priority", "1"] + SHARD_GRID) == 0
     submitted = capsys.readouterr().out
     assert "as plan 'nightly'" in submitted
     assert "--plan nightly" in submitted  # the collect hint names the plan
-    assert main(["shard", "submit", "--broker", str(broker), "--shards", "2",
+    assert main(["shard", "submit", "--store", str(broker), "--shards", "2",
                  "--plan", "smoke"] + SHARD_GRID) == 0
     capsys.readouterr()
-    assert main(["shard", "work", "--broker", str(broker),
+    assert main(["shard", "work", "--store", str(broker),
                  "--worker-id", "w1"]) == 0
     worked = capsys.readouterr().out
     assert "w1: 3 manifest(s) executed" in worked
     # Multi-plan drains get a per-plan breakdown under the summary line.
     assert "plan 'nightly': 1 manifest(s)" in worked
     assert "plan 'smoke': 2 manifest(s)" in worked
-    assert main(["shard", "status", "--broker", str(broker)]) == 0
+    assert main(["shard", "status", "--store", str(broker)]) == 0
     table = capsys.readouterr().out
     assert "nightly" in table and "smoke" in table
     assert "(all plans)" in table  # the aggregate row
     exports = {}
     for name in ("nightly", "smoke"):
         target = tmp_path / f"{name}.json"
-        assert main(["shard", "collect", "--broker", str(broker),
+        assert main(["shard", "collect", "--store", str(broker),
                      "--plan", name, "--export", str(target)]) == 0
         capsys.readouterr()
         exports[name] = json.loads(target.read_text())
@@ -516,35 +493,35 @@ def test_shard_named_plans_submit_work_status_collect(tmp_path, capsys):
 
 def test_shard_collect_names_the_incomplete_plan(tmp_path, capsys):
     broker = tmp_path / "queue"
-    main(["shard", "submit", "--broker", str(broker), "--shards", "2",
+    main(["shard", "submit", "--store", str(broker), "--shards", "2",
           "--plan", "nightly"] + SHARD_GRID)
     capsys.readouterr()
     with pytest.raises(SystemExit, match="plan 'nightly'.*not complete"):
-        main(["shard", "collect", "--broker", str(broker),
+        main(["shard", "collect", "--store", str(broker),
               "--plan", "nightly"])
     # An unknown plan name still gets the canonical unsubmitted error.
     with pytest.raises(SystemExit, match="no plan has been submitted"):
-        main(["shard", "collect", "--broker", str(broker),
+        main(["shard", "collect", "--store", str(broker),
               "--plan", "never-was"])
 
 
 def test_shard_rejects_invalid_plan_names():
     for bad in ("", ".", "..", "a/b", "a..b", "plan name"):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["shard", "submit", "--broker", "q",
+            build_parser().parse_args(["shard", "submit", "--store", "q",
                                        "--shards", "1", "--plan", bad])
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["shard", "collect", "--broker", "q",
+            build_parser().parse_args(["shard", "collect", "--store", "q",
                                        "--plan", bad])
 
 
 def test_shard_work_daemon_flag_validation(tmp_path):
     with pytest.raises(SystemExit, match="only applies to --daemon"):
-        main(["shard", "work", "--broker", str(tmp_path / "q"),
+        main(["shard", "work", "--store", str(tmp_path / "q"),
               "--max-idle-s", "5"])
     for value in ("0", "-1", "inf"):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["shard", "work", "--broker", "q",
+            build_parser().parse_args(["shard", "work", "--store", "q",
                                        "--daemon", "--max-idle-s", value])
 
 
@@ -554,12 +531,12 @@ def test_fleet_status_reads_live_metrics_snapshot(tmp_path, capsys):
     accounting."""
     broker = tmp_path / "queue"
     metrics = tmp_path / "fleet.json"
-    main(["shard", "submit", "--broker", str(broker), "--shards", "1",
+    main(["shard", "submit", "--store", str(broker), "--shards", "1",
           "--plan", "nightly"] + SHARD_GRID)
-    assert main(["shard", "work", "--broker", str(broker),
+    assert main(["shard", "work", "--store", str(broker),
                  "--metrics", str(metrics)]) == 0
     capsys.readouterr()
-    assert main(["fleet", "status", "--broker", str(broker),
+    assert main(["fleet", "status", "--store", str(broker),
                  "--metrics", str(metrics), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert set(payload["plans"]) == {"nightly"}
@@ -568,14 +545,14 @@ def test_fleet_status_reads_live_metrics_snapshot(tmp_path, capsys):
     gauges = payload["worker_metrics"]["plans"]["nightly"]
     assert gauges["queued"] == 0 and gauges["drained"] is True
     assert gauges["done"] == 1
-    assert main(["fleet", "status", "--broker", str(broker),
+    assert main(["fleet", "status", "--store", str(broker),
                  "--metrics", str(metrics)]) == 0
     rendered = capsys.readouterr().out
     assert "drained plans: nightly" in rendered
     assert "worker idle:" in rendered
     with pytest.raises(SystemExit, match="not valid JSON"):
         metrics.write_text("{torn", encoding="utf-8")
-        main(["fleet", "status", "--broker", str(broker),
+        main(["fleet", "status", "--store", str(broker),
               "--metrics", str(metrics)])
 
 
@@ -634,32 +611,6 @@ def test_shard_chaos_store_round_trip_matches_single_run(tmp_path, capsys):
     shown = json.loads(capsys.readouterr().out)
     assert shown["counters"]["store_retry"] > 0
     assert shown["counters"]["shard_posted"] == 1
-
-
-def test_shard_chaos_dir_broker_round_trip_matches_single_run(
-        tmp_path, capsys):
-    """The same storm hits the directory broker's queue verbs (through the
-    retrying shim) and the merged export still matches the plain run."""
-    from repro.bench.faults import BROKER_OPS
-
-    broker = tmp_path / "queue"
-    storm = _hostile_schedule_file(tmp_path, BROKER_OPS)
-    chaos = ["--fault-schedule", str(storm)]
-    assert main(["shard", "submit", "--broker", str(broker), "--shards", "2"]
-                + BROKER_GRID + chaos) == 0
-    capsys.readouterr()
-    assert main(["shard", "work", "--broker", str(broker), "--worker-id", "w1",
-                 "--heartbeat", "0",
-                 "--cache-dir", str(tmp_path / "cache")] + chaos) == 0
-    assert "w1: 2 manifest(s) executed" in capsys.readouterr().out
-    merged = tmp_path / "merged.json"
-    assert main(["shard", "collect", "--broker", str(broker),
-                 "--export", str(merged)] + chaos) == 0
-    single = tmp_path / "single.json"
-    assert main(["run", *BROKER_GRID, "--export", str(single)]) == 0
-    capsys.readouterr()
-    merged_payload = json.loads(merged.read_text())
-    assert merged_payload["settings"] == json.loads(single.read_text())["settings"]
 
 
 def test_shard_fault_schedule_rejects_unreadable_files(tmp_path):

@@ -50,7 +50,8 @@ from repro.bench.telemetry import (
     read_jsonl_events,
     use_sink,
 )
-from repro.bench.transport import LocalDirBroker, ShardWorker
+from repro.bench.store import FileSystemObjectStore
+from repro.bench.transport import ObjectStoreBroker, ShardWorker
 from repro.cli import main
 
 #: A deliberately small grid: trace identity is about *which* trial, not
@@ -123,7 +124,7 @@ def test_serial_and_broker_paths_agree_on_trial_trace_ids(tmp_path):
     """Tentpole acceptance: the same trial carries the same trace id
     whether it ran serially in-process or off a broker in a worker."""
     serial = trial_events(run_serial(tmp_path / "serial.jsonl"))
-    broker = LocalDirBroker(tmp_path / "queue")
+    broker = ObjectStoreBroker(FileSystemObjectStore(tmp_path / "queue"))
     worker_log = tmp_path / "worker.jsonl"
     sink = JsonlSink(worker_log)
     try:
@@ -440,7 +441,7 @@ def test_advisor_policy_validates_construction():
 # CLI: fleet status --strict / --prom-dir, fleet advise, trace
 # ----------------------------------------------------------------------
 def seeded_queue(tmp_path, shards=2, drain=False):
-    broker = LocalDirBroker(tmp_path / "queue")
+    broker = ObjectStoreBroker(FileSystemObjectStore(tmp_path / "queue"))
     broker.submit(grid_plan(shards=shards))
     if drain:
         ShardWorker(broker, ManifestExecutor(), worker_id="seed-w",
@@ -458,7 +459,7 @@ def test_fleet_status_cli_merges_snapshots_and_strict_gates(tmp_path,
                            written_at=now)
     stale = write_snapshot(tmp_path / "w2.json", worker_id="w2",
                            written_at=now - 4000)
-    base = ["fleet", "status", "--broker", queue,
+    base = ["fleet", "status", "--store", queue,
             "--metrics", str(fresh), "--metrics", str(stale),
             "--max-age-s", "60"]
     assert main(base) == 0
@@ -485,7 +486,7 @@ def test_fleet_status_cli_merges_snapshots_and_strict_gates(tmp_path,
 def test_fleet_advise_cli_recommends_and_emits(tmp_path, capsys):
     queue = seeded_queue(tmp_path, shards=2)
     advice_log = tmp_path / "advice.jsonl"
-    assert main(["fleet", "advise", "--broker", queue, "--json",
+    assert main(["fleet", "advise", "--store", queue, "--json",
                  "--emit", str(advice_log)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["action"] == "scale_up"
@@ -495,7 +496,7 @@ def test_fleet_advise_cli_recommends_and_emits(tmp_path, capsys):
     assert emitted[0]["action"] == "scale_up"
 
     with pytest.raises(SystemExit, match="max_workers"):
-        main(["fleet", "advise", "--broker", queue,
+        main(["fleet", "advise", "--store", queue,
               "--min-workers", "5", "--max-workers", "2"])
 
 

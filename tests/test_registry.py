@@ -499,17 +499,17 @@ def test_cli_broker_run_records_lease_and_cache_counters(tmp_path, capsys):
     counters all check out."""
     queue = str(tmp_path / "queue")
     registry_dir = tmp_path / "registry"
-    assert main(["shard", "submit", "--broker", queue, "--shards", "2",
+    assert main(["shard", "submit", "--store", queue, "--shards", "2",
                  "--settings", "dmi-gpt5-medium", "gui-gpt5-medium",
                  "--tasks", "ppt-01-blue-background", "word-02-landscape",
                  "--trials", "1"]) == 0
-    assert main(["shard", "work", "--broker", queue, "--worker-id", "w1",
+    assert main(["shard", "work", "--store", queue, "--worker-id", "w1",
                  "--cache-dir", str(tmp_path / "cache"),
                  "--registry", str(registry_dir)]) == 0
     capsys.readouterr()
     registry = RunRegistry(registry_dir)
     work = registry.latest()
-    assert work.executor == "dir-broker"
+    assert work.executor == "store-broker"
     assert work.trial_count == 4            # 2 settings x 2 tasks x 1 trial
     assert work.counters["lease_acquired"] == 2
     assert work.counters["shard_posted"] == 2
@@ -524,14 +524,14 @@ def test_cli_broker_run_records_lease_and_cache_counters(tmp_path, capsys):
     # grid and carries no subset marker.
     assert "subset" not in work.context
 
-    assert main(["shard", "collect", "--broker", queue,
+    assert main(["shard", "collect", "--store", queue,
                  "--registry", str(registry_dir)]) == 0
     capsys.readouterr()
     # Both records can land within one second, so pick by role rather
     # than relying on run-id ordering.
     collect = next(record for record in registry.load_all()
                    if record.context.get("role") == "collect")
-    assert collect.executor == "dir-broker"
+    assert collect.executor == "store-broker"
     assert collect.context["role"] == "collect"
     assert collect.counters["shard_collected"] == 2
     assert collect.trial_count == 4
