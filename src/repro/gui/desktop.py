@@ -8,7 +8,8 @@ which one is "topmost valid" — the notion DMI's path-navigation loop uses
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, List, Optional
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.gui.screen import ScreenLayout
 from repro.gui.widgets import Window
@@ -39,6 +40,9 @@ class Desktop:
         self.layout = ScreenLayout(width=width, height=height)
         self._processes: Dict[int, str] = {}
         self._window_listeners: List[Callable[[Window, str], None]] = []
+        #: Open :meth:`deferred_layout` scopes; while non-zero,
+        #: :meth:`relayout` does nothing.
+        self._layout_deferrals = 0
 
     # ------------------------------------------------------------------
     # processes
@@ -120,8 +124,28 @@ class Desktop:
     # layout
     # ------------------------------------------------------------------
     def relayout(self) -> None:
-        """Recompute bounding rectangles for every visible element."""
-        self.layout.layout_windows(self.open_windows())
+        """Recompute bounding rectangles for every visible element.
+
+        A no-op inside :meth:`deferred_layout`, which lays out once on exit.
+        """
+        if not self._layout_deferrals:
+            self.layout.layout_windows(self.open_windows())
+
+    @property
+    def layout_deferred(self) -> bool:
+        return self._layout_deferrals > 0
+
+    @contextmanager
+    def deferred_layout(self) -> Iterator[None]:
+        """Skip every :meth:`relayout` inside the block; lay out once at the
+        end (also when the block raises).  For callers that read no
+        geometry, such as the GUI ripper."""
+        self._layout_deferrals += 1
+        try:
+            yield
+        finally:
+            self._layout_deferrals -= 1
+            self.relayout()
 
     def element_at(self, x: float, y: float) -> Optional[UIElement]:
         """Hit-test: the deepest visible element under the point, topmost window first."""

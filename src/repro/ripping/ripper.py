@@ -8,14 +8,27 @@ The ripper drives a live (simulated) application:
    are attached to the tab's node instead of the root (detected
    differentially by briefly switching to a sibling tab).
 2. **DFS exploration** — for every clickable, non-blocklisted control the
-   ripper takes a visibility snapshot, clicks the control, takes a second
-   snapshot, and records every newly revealed control as a successor.  New
-   top-level/modal windows are detected through the desktop's window
-   listeners.
+   ripper clicks the control and records every newly revealed control as a
+   successor: a control that came on screen with an identifier that was
+   not on screen before the click.
 3. **State restoration** — after exploring a branch the ripper restores the
    prior UI state (closes windows the click opened, collapses expansions,
    re-selects the previously selected tab) so sibling branches are explored
    from a consistent state.
+
+Steps 2 and 3 are driven by the UI change journal
+(:mod:`repro.uia.journal`), installed for the duration of a rip: a capture
+is a journal position plus the open windows; the reveal set comes from the
+net visibility flips and the windows opened or closed since the last
+capture, compared against an on-screen identifier count the ripper keeps up
+to date; a restore undoes exactly the expansions, tab selections and
+windows journaled since its capture.  Each click costs the size of what it
+changed, not the size of the UI.  **Fallback rule:** when a journaled
+rename or structure change lies inside a window that was already open, the
+identifiers of controls already counted may have changed, so the ripper
+recounts with one full walk of the open windows (``RipReport.walk_fallbacks``
+counts these).  Layout is deferred while a rip runs (the ripper reads no
+geometry) and done once at the end.
 4. **Context-aware exploration** — the whole procedure repeats for every
    exploration context the application registers (e.g. "image selected"),
    and the per-context results merge into a single UNG.
@@ -42,8 +55,9 @@ correctness trade.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.apps.base import Application
 from repro.gui.widgets import TabControl, TabItem, Window
@@ -55,8 +69,9 @@ from repro.uia.control_types import (
     NON_NAVIGATING_CONTROL_TYPES,
     is_clickable_type,
 )
+from repro.uia import journal
 from repro.uia.element import UIElement
-from repro.uia.identifiers import identifier_string
+from repro.uia.identifiers import ancestor_path_field, identifier_parts, identifier_string
 from repro.uia.patterns import ExpandCollapseState, PatternId
 
 #: Lazily bound telemetry module (importing :mod:`repro.bench.telemetry` at
@@ -109,6 +124,9 @@ class RipReport:
     nodes_patched: int = 0
     #: Why an intended incremental rip fell back to a full rip ("": none).
     fallback_reason: str = ""
+    #: Full walks of the open windows the journal-driven diff fell back to
+    #: (a rename or structure change inside an already open window).
+    walk_fallbacks: int = 0
 
     def as_dict(self) -> Dict[str, object]:
         return dict(self.__dict__)
@@ -166,12 +184,17 @@ class _ReplayPlan:
 
 
 @dataclass
-class _UIState:
-    """Snapshot of the restorable UI state around an activation."""
+class _Mark:
+    """A capture: where the journal stood and which windows were open."""
 
+    position: int
     open_window_ids: Set[int]
-    expanded_ids: Set[int]
-    selected_tab_ids: Set[int]
+    #: Captures still unrestored when this one was taken.
+    depth: int
+
+
+#: Journal entry kinds that can change identifiers of counted controls.
+_RESTRUCTURING = frozenset({"name", "automation_id", "add", "remove"})
 
 
 class GuiRipper:
@@ -195,13 +218,26 @@ class GuiRipper:
         self._live_activations = 0
         self._replayed_activations = 0
         self._patched_ids: Set[str] = set()
+        self._init_journal_state()
+
+    def _init_journal_state(self) -> None:
+        #: The change journal, installed while a rip runs.
+        self._journal: Optional[journal.ChangeJournal] = None
+        #: Captures not yet restored; the journal is emptied at zero.
+        self._open_marks = 0
+        #: Identifier -> number of on-screen controls carrying it, as of
+        #: journal position ``_synced`` and windows ``_synced_windows``.
+        self._on_screen: Dict[str, int] = {}
+        self._synced = 0
+        self._synced_windows: List[Window] = []
 
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
     def rip(self) -> NavigationGraph:
         """Run the full exploration and return the UNG."""
-        return self._run()
+        with self._recording():
+            return self._run()
 
     def rip_incremental(self, prior_ung: NavigationGraph,
                         prior_trace: Optional[RipTrace]) -> NavigationGraph:
@@ -212,6 +248,11 @@ class GuiRipper:
         ``report.fallback_reason`` and the ``rip_full`` telemetry event)
         whenever the trace cannot be trusted.
         """
+        with self._recording():
+            return self._rip_incremental(prior_ung, prior_trace)
+
+    def _rip_incremental(self, prior_ung: NavigationGraph,
+                         prior_trace: Optional[RipTrace]) -> NavigationGraph:
         reason = self._incremental_blocker(prior_ung, prior_trace)
         dirty: Set[str] = set()
         if reason is None:
@@ -265,6 +306,16 @@ class GuiRipper:
     # ------------------------------------------------------------------
     # the shared rip loop
     # ------------------------------------------------------------------
+    @contextmanager
+    def _recording(self) -> Iterator[None]:
+        """Install the change journal and defer layout for one rip."""
+        with journal.record() as recorded, self.app.desktop.deferred_layout():
+            self._journal = recorded
+            try:
+                yield
+            finally:
+                self._init_journal_state()
+
     def _run(self, replay: Optional[_ReplayPlan] = None) -> NavigationGraph:
         started = time.perf_counter()
         self._replay = replay
@@ -273,7 +324,6 @@ class GuiRipper:
             context_plan_for(self.app)[:1]
         for context in contexts:
             context.enter()
-            self.app.desktop.relayout()
             self._rip_context(context.name)
             self.report.contexts.append(context.name)
         self.report.duration_seconds = time.perf_counter() - started
@@ -492,6 +542,8 @@ class GuiRipper:
     def _rip_context(self, context: str) -> None:
         initial = self._visible_app_elements()
         scoped = self._active_tab_scoped_elements()
+        self._count_on_screen()
+        self._trim_journal()
 
         frontier: List[Tuple[UIElement, str, int]] = []
         for element in initial:
@@ -526,10 +578,8 @@ class GuiRipper:
                 continue
             before = {e.runtime_id for e in self._visible_app_elements()}
             others[0].select()
-            self.app.desktop.relayout()
             after = {e.runtime_id for e in self._visible_app_elements()}
             selected.select()
-            self.app.desktop.relayout()
             disappeared = before - after - {selected.runtime_id}
             tab_node = self._emit_element(selected, DEFAULT_CONTEXT)
             self._emit_edge(VIRTUAL_ROOT_ID, tab_node.node_id)
@@ -539,7 +589,7 @@ class GuiRipper:
 
     def _find_tab_controls(self) -> List[TabControl]:
         result = []
-        for window in self.app.desktop.open_windows(self.app.process_id):
+        for window in self._app_windows():
             for element in window.iter_subtree():
                 if isinstance(element, TabControl):
                     result.append(element)
@@ -612,12 +662,14 @@ class GuiRipper:
     def _activate_and_diff(self, element: UIElement) -> List[UIElement]:
         """Click ``element`` and return the controls that became visible.
 
-        The differential capture is keyed on the composite control identifier
-        rather than on object identity: an application that rebuilds part of
-        its widget tree (fresh objects, same controls) does not produce
+        A control counts as revealed when it came on screen with a composite
+        control identifier that was not on screen before the click (first
+        occurrence per identifier, in pre-order).  Keying on identifiers
+        rather than object identity means an application that rebuilds part
+        of its widget tree (fresh objects, same controls) does not produce
         spurious "new control" edges.
         """
-        before = {identifier_string(e) for e in self._visible_app_elements()}
+        self._sync()
         self._clicks += 1
         self._live_activations += 1
         try:
@@ -626,70 +678,175 @@ class GuiRipper:
             # Disabled controls, pattern errors and the like simply produce
             # no outgoing edges.
             return []
-        after_elements = self._visible_app_elements()
-        revealed = []
-        seen_new = set()
-        for candidate in after_elements:
-            identifier = identifier_string(candidate)
-            if identifier in before or identifier in seen_new:
+        return self._sync()
+
+    # ------------------------------------------------------------------
+    # the on-screen identifier count
+    # ------------------------------------------------------------------
+    def _count_on_screen(self) -> List[Tuple[UIElement, str]]:
+        """Recount with one walk of every open window; return the on-screen
+        ``(control, identifier)`` pairs in pre-order."""
+        windows = self._app_windows()
+        pairs: List[Tuple[UIElement, str]] = []
+        for window in windows:
+            pairs.extend(_on_screen_subtree(window))
+        counts: Dict[str, int] = {}
+        for _, identifier in pairs:
+            counts[identifier] = counts.get(identifier, 0) + 1
+        self._on_screen = counts
+        self._synced = len(self._journal.entries)
+        self._synced_windows = windows
+        return pairs
+
+    def _sync(self) -> List[UIElement]:
+        """Bring the on-screen count up to date with the journal.
+
+        Returns the reveal set of the changes since the last sync: controls
+        that came on screen with an identifier the count did not hold, in
+        pre-order, first occurrence per identifier.
+        """
+        entries = self._journal.entries
+        start = self._synced
+        was_open = self._synced_windows
+        windows = self._app_windows()
+        if start == len(entries) and windows == was_open:
+            return []
+        was_open_set = set(was_open)
+        was_visible: Dict[UIElement, bool] = {}
+        for kind, subject, detail in entries[start:]:
+            if kind == "visible":
+                was_visible.setdefault(subject, detail)
+            elif kind in _RESTRUCTURING and subject.root() in was_open_set:
+                return self._recount()
+        self._synced = len(entries)
+        self._synced_windows = windows
+        now_open = set(windows)
+        kept = was_open_set & now_open
+
+        vanished: List[str] = []
+        appearing: List[UIElement] = [w for w in windows if w not in was_open_set]
+        for window in was_open:
+            if window not in now_open:
+                vanished.extend(i for _, i in _on_screen_subtree(window, was_visible))
+        flipped = [e for e, old in was_visible.items() if old != e.visible]
+        flipped_set = set(flipped)
+        for element in flipped:
+            if not _shown_through(element, flipped_set, kept):
                 continue
-            seen_new.add(identifier)
-            revealed.append(candidate)
+            if element.visible:
+                appearing.append(element)
+            else:
+                vanished.extend(i for _, i in _on_screen_subtree(element, was_visible))
+
+        counts = self._on_screen
+        revealed: List[UIElement] = []
+        seen: Set[str] = set()
+        appeared: List[str] = []
+        for root in _preorder(appearing, windows):
+            for node, identifier in _on_screen_subtree(root):
+                appeared.append(identifier)
+                if identifier not in counts and identifier not in seen:
+                    seen.add(identifier)
+                    revealed.append(node)
+        for identifier in vanished:
+            remaining = counts[identifier] - 1
+            if remaining:
+                counts[identifier] = remaining
+            else:
+                del counts[identifier]
+        for identifier in appeared:
+            counts[identifier] = counts.get(identifier, 0) + 1
         return revealed
+
+    def _recount(self) -> List[UIElement]:
+        """The fallback: a full walk, diffed against the previous count."""
+        self.report.walk_fallbacks += 1
+        before = self._on_screen
+        revealed: List[UIElement] = []
+        seen: Set[str] = set()
+        for node, identifier in self._count_on_screen():
+            if identifier not in before and identifier not in seen:
+                seen.add(identifier)
+                revealed.append(node)
+        return revealed
+
+    def _trim_journal(self) -> None:
+        """Drop journal entries once no capture needs them."""
+        if not self._open_marks:
+            self._sync()
+            self._journal.entries.clear()
+            self._synced = 0
 
     # ------------------------------------------------------------------
     # state capture / restore
     # ------------------------------------------------------------------
-    def _capture_state(self) -> _UIState:
-        expanded = set()
-        selected_tabs = set()
-        for window in self.app.desktop.open_windows(self.app.process_id):
-            for node in window.iter_subtree():
-                pattern = node.get_pattern(PatternId.EXPAND_COLLAPSE)
-                if pattern is not None and pattern.state == ExpandCollapseState.EXPANDED:
-                    expanded.add(node.runtime_id)
-                if isinstance(node, TabItem) and node.is_selected:
-                    selected_tabs.add(node.runtime_id)
-        return _UIState(
-            open_window_ids={w.runtime_id
-                             for w in self.app.desktop.open_windows(self.app.process_id)},
-            expanded_ids=expanded,
-            selected_tab_ids=selected_tabs,
-        )
+    def _capture_state(self) -> _Mark:
+        self._sync()
+        mark = _Mark(position=len(self._journal.entries),
+                     open_window_ids={w.runtime_id for w in self._synced_windows},
+                     depth=self._open_marks)
+        self._open_marks += 1
+        return mark
 
-    def _restore_state(self, state: _UIState) -> None:
-        # 1. Close windows opened by the explored branch (newest first).
-        for window in reversed(self.app.desktop.open_windows(self.app.process_id)):
-            if window.runtime_id not in state.open_window_ids:
+    def _restore_state(self, mark: _Mark) -> None:
+        # 1. Close windows opened since the mark (newest first).
+        for window in reversed(self._app_windows()):
+            if window.runtime_id not in mark.open_window_ids:
                 window.close()
-        # 2. Collapse expansions introduced by the branch.
-        for window in self.app.desktop.open_windows(self.app.process_id):
-            for node in window.iter_subtree():
-                pattern = node.get_pattern(PatternId.EXPAND_COLLAPSE)
-                if (pattern is not None
-                        and pattern.state == ExpandCollapseState.EXPANDED
-                        and node.runtime_id not in state.expanded_ids):
-                    try:
-                        pattern.collapse()
-                    except Exception:
-                        pass
-        # 3. Re-select tabs whose selection the branch changed.
-        for tab_control in self._find_tab_controls():
+        # 2. Collapse expansions made since the mark.
+        windows = self._app_windows()
+        was_state = self._first_values("state", mark)
+        expanded = [p for p, old in was_state.items()
+                    if old != ExpandCollapseState.EXPANDED
+                    and p.state == ExpandCollapseState.EXPANDED
+                    and p.element.root() in windows]
+        for pattern in _preorder(expanded, windows, key=lambda p: p.element):
+            if pattern.state == ExpandCollapseState.EXPANDED:
+                try:
+                    pattern.collapse()
+                except Exception:
+                    pass
+        # 3. Re-select tabs whose selection changed since the mark.
+        was_selected = self._first_values("is_selected", mark)
+        tab_controls = []
+        for pattern in was_selected:
+            parent = pattern.element.parent
+            if (isinstance(pattern.element, TabItem) and isinstance(parent, TabControl)
+                    and parent not in tab_controls and parent.root() in windows):
+                tab_controls.append(parent)
+
+        def selected_at_mark(tab: TabItem) -> bool:
+            pattern = tab.get_pattern(PatternId.SELECTION_ITEM)
+            return was_selected.get(pattern, pattern.is_selected)
+
+        for tab_control in _preorder(tab_controls, windows):
             selected = tab_control.selected_tab()
-            if selected is not None and selected.runtime_id in state.selected_tab_ids:
+            if selected is not None and selected_at_mark(selected):
                 continue
             for tab in tab_control.tabs():
-                if tab.runtime_id in state.selected_tab_ids:
+                if selected_at_mark(tab):
                     tab.select()
                     break
-        self.app.desktop.relayout()
+        self._open_marks = mark.depth
+        self._trim_journal()
+
+    def _first_values(self, kind: str, mark: _Mark) -> Dict[object, object]:
+        """Subject -> its value at ``mark``, for ``kind`` entries since."""
+        values: Dict[object, object] = {}
+        for entry_kind, subject, old in self._journal.entries[mark.position:]:
+            if entry_kind == kind:
+                values.setdefault(subject, old)
+        return values
 
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
+    def _app_windows(self) -> List[Window]:
+        return self.app.desktop.open_windows(self.app.process_id)
+
     def _visible_app_elements(self) -> List[UIElement]:
         result: List[UIElement] = []
-        for window in self.app.desktop.open_windows(self.app.process_id):
+        for window in self._app_windows():
             stack: List[UIElement] = [window]
             while stack:
                 node = stack.pop()
@@ -703,6 +860,59 @@ class GuiRipper:
     def _window_title(element: UIElement) -> str:
         root = element.root()
         return root.name if isinstance(root, Window) or root.name else ""
+
+
+def _on_screen_subtree(root: UIElement,
+                      was_visible: Optional[Dict[UIElement, bool]] = None,
+                      ) -> List[Tuple[UIElement, str]]:
+    """``(control, identifier)`` for every on-screen control of ``root``'s
+    subtree, assuming ``root``'s ancestors are on screen; pre-order, with
+    identifiers built top-down.  Given ``was_visible`` (the visibility of
+    controls changed since the last sync), on screen *as of that sync*."""
+    result: List[Tuple[UIElement, str]] = []
+    stack = [(root, ancestor_path_field(root))]
+    while stack:
+        node, path = stack.pop()
+        visible = node.visible if was_visible is None \
+            else was_visible.get(node, node.visible)
+        if not visible:
+            continue
+        identifier, child_path = identifier_parts(node, path)
+        result.append((node, identifier))
+        stack.extend((child, child_path) for child in reversed(node.children))
+    return result
+
+
+def _shown_through(element: UIElement, flipped: Set[UIElement],
+                   windows: Set[UIElement]) -> bool:
+    """Whether ``element``'s visibility flip is what changed its subtree's
+    on-screen state: no ancestor flipped too, every ancestor is visible
+    (their visibility did not change, so they were visible before too), and
+    it lies in one of ``windows``."""
+    node = element
+    while node.parent is not None:
+        node = node.parent
+        if node in flipped or not node.visible:
+            return False
+    return node in windows
+
+
+def _preorder(items: list, windows: List[Window], key=lambda item: item) -> list:
+    """``items`` (of controls in ``windows``, via ``key``) in pre-order."""
+    if len(items) < 2:
+        return list(items)
+
+    def position(item) -> List[int]:
+        node = key(item)
+        path = []
+        while node.parent is not None:
+            path.append(node.parent.children.index(node))
+            node = node.parent
+        path.append(windows.index(node))
+        path.reverse()
+        return path
+
+    return sorted(items, key=position)
 
 
 def rip_application(app: Application, blocklist: Optional[AccessBlocklist] = None,

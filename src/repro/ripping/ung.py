@@ -23,7 +23,7 @@ from repro.uia.identifiers import identifier_string
 VIRTUAL_ROOT_ID = "[VirtualRoot]|Window|"
 
 
-@dataclass
+@dataclass(slots=True)
 class UNGNode:
     """A node of the UI Navigation Graph."""
 

@@ -45,6 +45,8 @@ class CoreTopology:
     config: CoreTopologyConfig
     visible_ids: Set[int]
     pruned_ids: Set[int]
+    _token_estimate: Optional[int] = field(default=None, init=False,
+                                           repr=False, compare=False)
 
     def contains(self, node_id: int) -> bool:
         return node_id in self.visible_ids
@@ -53,7 +55,11 @@ class CoreTopology:
         return serialize_forest(self.forest, serialization, visible_ids=self.visible_ids)
 
     def token_estimate(self) -> int:
-        return estimate_tokens(self.serialize())
+        """Tokens of the default serialization, computed once per instance:
+        a core does not change after :func:`extract_core`."""
+        if self._token_estimate is None:
+            self._token_estimate = estimate_tokens(self.serialize())
+        return self._token_estimate
 
     def visible_node_count(self) -> int:
         return len(self.visible_ids)

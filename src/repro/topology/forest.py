@@ -30,7 +30,7 @@ from repro.topology.externalize import (
 from repro.uia.control_types import ControlType
 
 
-@dataclass
+@dataclass(slots=True)
 class ForestNode:
     """A node of the navigation forest."""
 

@@ -14,7 +14,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
 
+from repro.uia import journal
 from repro.uia.control_types import ControlType
+from repro.uia.journal import Watched
 from repro.uia.patterns import PatternId, UIAPattern
 
 _runtime_id_counter = itertools.count(1)
@@ -92,7 +94,15 @@ class UIElement:
         The UIA ``IsEnabled`` and (negated) ``IsOffscreen`` properties.
         Visibility here is the element's *own* flag; whether it is actually
         on screen also depends on its ancestors (see :meth:`is_on_screen`).
+
+    Writes to ``visible``, ``name`` and ``automation_id`` and to the
+    structure (:meth:`add_child` / :meth:`remove_child`) are recorded in
+    the installed :mod:`repro.uia.journal`, if any.
     """
+
+    visible = Watched()
+    name = Watched()
+    automation_id = Watched()
 
     def __init__(
         self,
@@ -104,12 +114,15 @@ class UIElement:
         visible: bool = True,
         rect: Optional[BoundingRect] = None,
     ) -> None:
-        self.name = name
+        # Watched fields go straight into the instance dict: building a
+        # control is not a change of a live UI.
+        values = self.__dict__
+        values["name"] = name
+        values["automation_id"] = automation_id
+        values["visible"] = visible
         self.control_type = ControlType(control_type)
-        self.automation_id = automation_id
         self.description = description
         self.is_enabled = enabled
-        self.visible = visible
         self.rect = rect or BoundingRect()
         self.text: str = ""
         self.runtime_id: int = next(_runtime_id_counter)
@@ -132,6 +145,7 @@ class UIElement:
             self.children.append(child)
         else:
             self.children.insert(index, child)
+        journal.append("add", self, child)
         notify_ui_change(child, "widget_added")
         return child
 
@@ -145,6 +159,7 @@ class UIElement:
             # Published before detaching: afterwards the child no longer
             # reaches the window root that owns the change log.
             notify_ui_change(child, "widget_removed")
+            journal.append("remove", self, child)
             self.children.remove(child)
             child.parent = None
 

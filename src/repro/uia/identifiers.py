@@ -111,9 +111,24 @@ def synthesize_identifier(element: UIElement) -> ControlIdentifier:
     )
 
 
+def ancestor_path_field(element: UIElement) -> str:
+    """The (escaped) ancestor-path field of ``element``'s identifier string."""
+    return PATH_SEPARATOR.join(_escape(a.primary_id)
+                               for a in reversed(element.ancestors()))
+
+
+def identifier_parts(element: UIElement, path: str) -> Tuple[str, str]:
+    """``(identifier string, children's ancestor-path field)`` of ``element``
+    given its own ancestor-path field — identifiers built top-down, one
+    escape per element, for walks that visit a parent before its children."""
+    segment = _escape(element.primary_id)
+    identifier = FIELD_SEPARATOR.join((segment, element.control_type.value, path))
+    return identifier, (path + PATH_SEPARATOR + segment if path else segment)
+
+
 def identifier_string(element: UIElement) -> str:
-    """Convenience wrapper returning ``str(synthesize_identifier(element))``."""
-    return str(synthesize_identifier(element))
+    """``str(synthesize_identifier(element))``, without the intermediate object."""
+    return identifier_parts(element, ancestor_path_field(element))[0]
 
 
 def parse_identifier(text: str) -> ControlIdentifier:

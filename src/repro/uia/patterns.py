@@ -18,6 +18,8 @@ from __future__ import annotations
 import enum
 from typing import Callable, List, Optional, Sequence, TYPE_CHECKING
 
+from repro.uia.journal import Watched
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.uia.element import UIElement
 
@@ -142,6 +144,9 @@ class ExpandCollapsePattern(UIAPattern):
 
     pattern_id = PatternId.EXPAND_COLLAPSE
 
+    #: Journaled (see :mod:`repro.uia.journal`); reads are plain.
+    state = Watched()
+
     def __init__(
         self,
         element: "UIElement",
@@ -150,7 +155,7 @@ class ExpandCollapsePattern(UIAPattern):
         on_collapse: Optional[Callable[[], None]] = None,
     ):
         super().__init__(element)
-        self.state = ExpandCollapseState(state)
+        self.__dict__["state"] = ExpandCollapseState(state)
         self._on_expand = on_expand
         self._on_collapse = on_collapse
 
@@ -258,6 +263,9 @@ class SelectionItemPattern(UIAPattern):
 
     pattern_id = PatternId.SELECTION_ITEM
 
+    #: Journaled (see :mod:`repro.uia.journal`); reads are plain.
+    is_selected = Watched()
+
     def __init__(
         self,
         element: "UIElement",
@@ -266,7 +274,7 @@ class SelectionItemPattern(UIAPattern):
         on_select: Optional[Callable[[bool], None]] = None,
     ):
         super().__init__(element)
-        self.is_selected = is_selected
+        self.__dict__["is_selected"] = is_selected
         self._container = container
         self._on_select = on_select
 

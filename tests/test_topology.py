@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.llm.tokens import estimate_tokens
 from repro.ripping.ung import NavigationGraph, UNGNode, VIRTUAL_ROOT_ID
 from repro.topology.core import CoreTopologyConfig, extract_core
 from repro.topology.decycle import decycle
@@ -256,6 +257,17 @@ def test_core_manual_prune_names():
     core = extract_core(forest, CoreTopologyConfig(manual_prune_names={"b"}))
     b = forest.find_by_name("b")[0]
     assert not core.contains(b.node_id)
+
+
+def test_core_token_estimate_is_computed_once(monkeypatch):
+    core = extract_core(build_forest(diamond_with_cycle()))
+    serialize = core.serialize
+    calls = []
+    monkeypatch.setattr(core, "serialize",
+                        lambda *args: calls.append(args) or serialize(*args))
+    estimates = [core.token_estimate() for _ in range(3)]
+    assert estimates == [estimate_tokens(serialize())] * 3
+    assert len(calls) == 1
 
 
 def test_query_engine_targeted_and_global_queries():
