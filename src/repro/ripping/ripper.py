@@ -540,9 +540,8 @@ class GuiRipper:
     # per-context exploration
     # ------------------------------------------------------------------
     def _rip_context(self, context: str) -> None:
-        initial = self._visible_app_elements()
+        initial = [element for element, _ in self._count_on_screen()]
         scoped = self._active_tab_scoped_elements()
-        self._count_on_screen()
         self._trim_journal()
 
         frontier: List[Tuple[UIElement, str, int]] = []

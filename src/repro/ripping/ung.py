@@ -11,13 +11,14 @@ nodes arise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.uia.control_types import ControlType
 from repro.uia.element import UIElement
 from repro.uia.identifiers import identifier_string
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import networkx
 
 #: Identifier of the synthetic single-source root node.
 VIRTUAL_ROOT_ID = "[VirtualRoot]|Window|"
@@ -152,15 +153,44 @@ class NavigationGraph:
     # ------------------------------------------------------------------
     # interop / diagnostics
     # ------------------------------------------------------------------
-    def to_networkx(self) -> "nx.DiGraph":
-        graph = nx.DiGraph()
+    def to_networkx(self) -> "networkx.DiGraph":
+        # Imported here: networkx costs ~20 MB of resident memory, and
+        # nothing on the ripping or agent paths needs it.
+        import networkx
+
+        graph = networkx.DiGraph()
         for node_id, node in self.nodes.items():
             graph.add_node(node_id, name=node.name, control_type=node.control_type.value)
         graph.add_edges_from(self.edges())
         return graph
 
     def has_cycle(self) -> bool:
-        return not nx.is_directed_acyclic_graph(self.to_networkx())
+        """Whether the graph has a directed cycle (a self-loop counts).
+
+        An iterative depth-first search over the adjacency lists: no
+        intermediate graph is built.
+        """
+        on_path, done = 1, 2
+        state: Dict[str, int] = {}
+        for start in self.nodes:
+            if start in state:
+                continue
+            state[start] = on_path
+            stack = [(start, iter(self._successors[start]))]
+            while stack:
+                node, targets = stack[-1]
+                for target in targets:
+                    seen = state.get(target)
+                    if seen == on_path:
+                        return True
+                    if seen is None:
+                        state[target] = on_path
+                        stack.append((target, iter(self._successors[target])))
+                        break
+                else:
+                    state[node] = done
+                    stack.pop()
+        return False
 
     def stats(self) -> Dict[str, object]:
         reachable = self.reachable_from_root()

@@ -87,7 +87,9 @@ class ProbeApp(Application):
     * ``rebuild`` — rebuilds a group's children under an on-screen parent;
     * ``hide`` — hides a group outside the clicked subtree and shows a
       hidden one;
-    * ``dialog`` — opens a dialog built on click.
+    * ``dialog`` — opens a dialog built on click;
+    * ``other-desktop`` — renames and rebuilds controls of another app on
+      its own desktop, and shows a hidden group of its own.
     """
 
     APP_NAME = "Probe"
@@ -95,6 +97,7 @@ class ProbeApp(Application):
     def __init__(self, case: str) -> None:
         self.case = case
         self.generation = 0
+        self.other = ProbeApp("hide") if case == "other-desktop" else None
         super().__init__()
 
     def build_ui(self) -> None:
@@ -134,10 +137,16 @@ class ProbeApp(Application):
                 "Dialog Menu", {"Dialog Item": lambda: None},
                 automation_id="Probe.DialogMenu"))
             self.open_dialog(builder.build())
+        elif self.case == "other-desktop":
+            self.other.status.name = f"Status {self.generation}"
+            self.other.box.clear_children()
+            self.other._fill_box()
+            self.extras.visible = True
 
 
 @pytest.mark.parametrize("case,falls_back", [
-    ("rename", True), ("rebuild", True), ("hide", False), ("dialog", False)])
+    ("rename", True), ("rebuild", True), ("hide", False), ("dialog", False),
+    ("other-desktop", False)])
 def test_probe_rip_equals_reference_and_falls_back_only_on_restructure(
         case, falls_back):
     production = GuiRipper(ProbeApp(case))

@@ -1,6 +1,11 @@
 """Tests for the GUI ripper, UNG, blocklist and exploration contexts."""
 
+import os
+import subprocess
+import sys
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps import PowerPointApp, WordApp
 from repro.ripping.blocklist import AccessBlocklist, default_blocklist_for
@@ -62,6 +67,33 @@ def test_cycle_detection_and_reachability():
     graph.add_edge("c", "a")
     assert graph.has_cycle()
     assert graph.reachable_from_root() == {VIRTUAL_ROOT_ID, "a", "b", "c"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(size=st.integers(1, 7), edges=st.lists(
+    st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=14))
+def test_cycle_detection_agrees_with_networkx(size, edges):
+    import networkx
+
+    graph = NavigationGraph()
+    for index in range(size):
+        graph.add_node(UNGNode(node_id=str(index), name=str(index),
+                               control_type=ControlType.BUTTON))
+    for source, target in edges:
+        if source < size and target < size:
+            graph.add_edge(str(source), str(target))
+    expected = not networkx.is_directed_acyclic_graph(graph.to_networkx())
+    assert graph.has_cycle() == expected
+
+
+def test_ripping_does_not_import_networkx():
+    """networkx costs ~20 MB of resident memory; only ``to_networkx`` loads it."""
+    code = ("import sys; from repro.apps import WordApp; "
+            "from repro.dmi.interface import build_offline_artifacts; "
+            "build_offline_artifacts(WordApp()); "
+            "assert 'networkx' not in sys.modules")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_find_nodes_by_name():
