@@ -15,23 +15,29 @@ The ripper drives a live (simulated) application:
    prior UI state (closes windows the click opened, collapses expansions,
    re-selects the previously selected tab) so sibling branches are explored
    from a consistent state.
-
-Steps 2 and 3 are driven by the UI change journal
-(:mod:`repro.uia.journal`), installed for the duration of a rip: a capture
-is a journal position plus the open windows; the reveal set comes from the
-net visibility flips and the windows opened or closed since the last
-capture, compared against an on-screen identifier count the ripper keeps up
-to date; a restore undoes exactly the expansions, tab selections and
-windows journaled since its capture.  Each click costs the size of what it
-changed, not the size of the UI.  **Fallback rule:** when a journaled
-rename or structure change lies inside a window that was already open, the
-identifiers of controls already counted may have changed, so the ripper
-recounts with one full walk of the open windows (``RipReport.walk_fallbacks``
-counts these).  Layout is deferred while a rip runs (the ripper reads no
-geometry) and done once at the end.
 4. **Context-aware exploration** — the whole procedure repeats for every
    exploration context the application registers (e.g. "image selected"),
    and the per-context results merge into a single UNG.
+
+Journal-driven capture, diff and restore
+----------------------------------------
+Steps 2 and 3 never walk the whole widget tree.  While a rip runs, the UI
+change journal (:mod:`repro.uia.journal`) records every visibility,
+expansion, selection, name and structure write.  A capture is a journal
+position plus the open windows.  The reveal set of a click comes from the
+net visibility flips and the windows opened or closed since the capture,
+walked top-down and compared with an on-screen identifier count the ripper
+keeps up to date.  A restore undoes exactly the expansions, tab selections
+and windows journaled since its capture.  A click therefore costs the size
+of what it changed, not the size of the UI, and the journal is emptied
+whenever no capture is outstanding.
+
+**Fallback rule:** a journaled rename or structure change inside a window
+that was open at the last count may have changed identifiers the count
+holds, so the ripper recounts with one full walk of the open windows
+(``RipReport.walk_fallbacks`` counts these).  Changes inside windows the
+click opened, and on other desktops, need no fallback.  Layout is deferred
+while a rip runs (the ripper reads no geometry) and done once at the end.
 
 Incremental ripping
 -------------------
@@ -222,7 +228,7 @@ class GuiRipper:
 
     def _init_journal_state(self) -> None:
         #: The change journal, installed while a rip runs.
-        self._journal: Optional[journal.ChangeJournal] = None
+        self._journal: Optional[List[journal.Entry]] = None
         #: Captures not yet restored; the journal is emptied at zero.
         self._open_marks = 0
         #: Identifier -> number of on-screen controls carrying it, as of
@@ -693,7 +699,7 @@ class GuiRipper:
         for _, identifier in pairs:
             counts[identifier] = counts.get(identifier, 0) + 1
         self._on_screen = counts
-        self._synced = len(self._journal.entries)
+        self._synced = len(self._journal)
         self._synced_windows = windows
         return pairs
 
@@ -704,7 +710,7 @@ class GuiRipper:
         that came on screen with an identifier the count did not hold, in
         pre-order, first occurrence per identifier.
         """
-        entries = self._journal.entries
+        entries = self._journal
         start = self._synced
         was_open = self._synced_windows
         windows = self._app_windows()
@@ -773,7 +779,7 @@ class GuiRipper:
         """Drop journal entries once no capture needs them."""
         if not self._open_marks:
             self._sync()
-            self._journal.entries.clear()
+            self._journal.clear()
             self._synced = 0
 
     # ------------------------------------------------------------------
@@ -781,7 +787,7 @@ class GuiRipper:
     # ------------------------------------------------------------------
     def _capture_state(self) -> _Mark:
         self._sync()
-        mark = _Mark(position=len(self._journal.entries),
+        mark = _Mark(position=len(self._journal),
                      open_window_ids={w.runtime_id for w in self._synced_windows},
                      depth=self._open_marks)
         self._open_marks += 1
@@ -832,7 +838,7 @@ class GuiRipper:
     def _first_values(self, kind: str, mark: _Mark) -> Dict[object, object]:
         """Subject -> its value at ``mark``, for ``kind`` entries since."""
         values: Dict[object, object] = {}
-        for entry_kind, subject, old in self._journal.entries[mark.position:]:
+        for entry_kind, subject, old in self._journal[mark.position:]:
             if entry_kind == kind:
                 values.setdefault(subject, old)
         return values

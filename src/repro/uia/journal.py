@@ -12,9 +12,10 @@ application's change events rather than polling the object model).
   without ``__get__`` falls through to the instance dict) and routes writes
   through :meth:`Watched.__set__`, which appends an entry to the installed
   journal when the value actually changes.
-* :func:`record` installs a fresh :class:`ChangeJournal` for the duration of
-  a ``with`` block (nesting restores the previous one on exit).  With no
-  journal installed a watched write costs one global lookup.
+* :func:`record` installs a fresh journal — a plain list of entries — for
+  the duration of a ``with`` block (nesting restores the previous one on
+  exit).  With no journal installed a watched write costs one global
+  lookup.
 
 Entries are tuples ``(kind, subject, detail)``:
 
@@ -34,21 +35,11 @@ from typing import Iterator, List, Optional, Tuple
 
 Entry = Tuple[str, object, object]
 
-
-class ChangeJournal:
-    """An append-only list of watched UI writes."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self) -> None:
-        self.entries: List[Entry] = []
-
-
 #: The journal watched writes go to, or None (nothing is recorded).
-_active: Optional[ChangeJournal] = None
+_active: Optional[List[Entry]] = None
 
 
-def active() -> Optional[ChangeJournal]:
+def active() -> Optional[List[Entry]]:
     """The installed journal, if any."""
     return _active
 
@@ -56,15 +47,15 @@ def active() -> Optional[ChangeJournal]:
 def append(kind: str, subject: object, detail: object) -> None:
     """Record one entry if a journal is installed (structure changes)."""
     if _active is not None:
-        _active.entries.append((kind, subject, detail))
+        _active.append((kind, subject, detail))
 
 
 @contextmanager
-def record() -> Iterator[ChangeJournal]:
-    """Install a fresh journal for the ``with`` block."""
+def record() -> Iterator[List[Entry]]:
+    """Install a fresh, empty journal for the ``with`` block."""
     global _active
     previous = _active
-    journal = ChangeJournal()
+    journal: List[Entry] = []
     _active = journal
     try:
         yield journal
@@ -85,5 +76,5 @@ class Watched:
         if _active is not None:
             old = values.get(self.name, value)
             if old != value:
-                _active.entries.append((self.name, instance, old))
+                _active.append((self.name, instance, old))
         values[self.name] = value

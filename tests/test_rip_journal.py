@@ -40,7 +40,7 @@ def test_watched_reads_are_plain_and_writes_record_only_while_installed():
         element.name = "b"
         element.automation_id = "id.b"
     assert journal.active() is None
-    assert recorded.entries == [("visible", element, False),
+    assert recorded == [("visible", element, False),
                                 ("name", element, "a"),
                                 ("automation_id", element, "")]
     assert (element.visible, element.name, element.automation_id) == (True, "b", "id.b")
@@ -50,10 +50,10 @@ def test_construction_records_nothing_and_structure_is_recorded():
     with journal.record() as recorded:
         parent = UIElement(name="parent")
         child = UIElement(name="child", visible=False)
-        assert recorded.entries == []
+        assert recorded == []
         parent.add_child(child)
         parent.remove_child(child)
-    assert recorded.entries == [("add", parent, child), ("remove", parent, child)]
+    assert recorded == [("add", parent, child), ("remove", parent, child)]
 
 
 def test_pattern_state_and_selection_are_recorded():
@@ -62,7 +62,7 @@ def test_pattern_state_and_selection_are_recorded():
     with journal.record() as recorded:
         tab.select()
         split.get_pattern(PatternId.EXPAND_COLLAPSE).expand()
-    assert [(kind, old) for kind, _, old in recorded.entries] == [
+    assert [(kind, old) for kind, _, old in recorded] == [
         ("is_selected", False), ("state", ExpandCollapseState.COLLAPSED)]
 
 
@@ -73,8 +73,8 @@ def test_record_nests_and_restores_the_previous_journal():
             element.visible = False
         element.visible = True
     assert journal.active() is None
-    assert [e[2] for e in inner.entries] == [True]
-    assert [e[2] for e in outer.entries] == [False]
+    assert [e[2] for e in inner] == [True]
+    assert [e[2] for e in outer] == [False]
 
 
 # ----------------------------------------------------------------------
@@ -261,7 +261,7 @@ def test_the_journal_is_emptied_between_top_level_branches():
     class Watching(GuiRipper):
         def _restore_state(self, mark):
             super()._restore_state(mark)
-            sizes.append((mark.depth, len(self._journal.entries)))
+            sizes.append((mark.depth, len(self._journal)))
 
     Watching(app).rip()
     assert sizes and all(size == 0 for depth, size in sizes if depth == 0)

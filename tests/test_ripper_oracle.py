@@ -148,7 +148,7 @@ def test_mutable_scenario_incremental_rip_equals_reference(scenario):
 @settings(max_examples=6, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(script=st.lists(st.sampled_from(sorted(SCENARIOS)), min_size=1,
-                       max_size=3))
+                       max_size=3, unique=True))
 def test_mutation_sequences_equal_reference(script):
     assert_same(MutableDemoApp, lambda cls, app: incremental_rip(cls, app, script))
 
