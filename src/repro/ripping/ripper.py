@@ -233,7 +233,7 @@ class GuiRipper:
         self._open_marks = 0
         #: Identifier -> number of on-screen controls carrying it, as of
         #: journal position ``_synced`` and windows ``_synced_windows``.
-        self._on_screen: Dict[str, int] = {}
+        self._on_screen_count: Dict[str, int] = {}
         self._synced = 0
         self._synced_windows: List[Window] = []
 
@@ -581,9 +581,9 @@ class GuiRipper:
             others = [t for t in tab_control.tabs() if t is not selected and t.visible]
             if selected is None or not others:
                 continue
-            before = {e.runtime_id for e in self._visible_app_elements()}
+            before = {e.runtime_id for e, _ in self._on_screen()}
             others[0].select()
-            after = {e.runtime_id for e in self._visible_app_elements()}
+            after = {e.runtime_id for e, _ in self._on_screen()}
             selected.select()
             disappeared = before - after - {selected.runtime_id}
             tab_node = self._emit_element(selected, DEFAULT_CONTEXT)
@@ -688,19 +688,21 @@ class GuiRipper:
     # ------------------------------------------------------------------
     # the on-screen identifier count
     # ------------------------------------------------------------------
+    def _on_screen(self) -> List[Tuple[UIElement, str]]:
+        """``(control, identifier)`` for every on-screen control of the
+        app's open windows, in pre-order: one full walk."""
+        return [pair for window in self._app_windows()
+                for pair in _on_screen_subtree(window)]
+
     def _count_on_screen(self) -> List[Tuple[UIElement, str]]:
-        """Recount with one walk of every open window; return the on-screen
-        ``(control, identifier)`` pairs in pre-order."""
-        windows = self._app_windows()
-        pairs: List[Tuple[UIElement, str]] = []
-        for window in windows:
-            pairs.extend(_on_screen_subtree(window))
+        """Recount with one full walk; return :meth:`_on_screen`'s pairs."""
+        pairs = self._on_screen()
         counts: Dict[str, int] = {}
         for _, identifier in pairs:
             counts[identifier] = counts.get(identifier, 0) + 1
-        self._on_screen = counts
+        self._on_screen_count = counts
         self._synced = len(self._journal)
-        self._synced_windows = windows
+        self._synced_windows = self._app_windows()
         return pairs
 
     def _sync(self) -> List[UIElement]:
@@ -743,7 +745,7 @@ class GuiRipper:
             else:
                 vanished.extend(i for _, i in _on_screen_subtree(element, was_visible))
 
-        counts = self._on_screen
+        counts = self._on_screen_count
         revealed: List[UIElement] = []
         seen: Set[str] = set()
         appeared: List[str] = []
@@ -766,7 +768,7 @@ class GuiRipper:
     def _recount(self) -> List[UIElement]:
         """The fallback: a full walk, diffed against the previous count."""
         self.report.walk_fallbacks += 1
-        before = self._on_screen
+        before = self._on_screen_count
         revealed: List[UIElement] = []
         seen: Set[str] = set()
         for node, identifier in self._count_on_screen():
@@ -848,18 +850,6 @@ class GuiRipper:
     # ------------------------------------------------------------------
     def _app_windows(self) -> List[Window]:
         return self.app.desktop.open_windows(self.app.process_id)
-
-    def _visible_app_elements(self) -> List[UIElement]:
-        result: List[UIElement] = []
-        for window in self._app_windows():
-            stack: List[UIElement] = [window]
-            while stack:
-                node = stack.pop()
-                if not node.visible:
-                    continue
-                result.append(node)
-                stack.extend(reversed(node.children))
-        return result
 
     @staticmethod
     def _window_title(element: UIElement) -> str:

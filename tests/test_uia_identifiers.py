@@ -110,3 +110,19 @@ def test_identifier_string_round_trips(primary, ancestors, control_type):
     identifier = ControlIdentifier(primary_id=primary, control_type=control_type,
                                    ancestor_path=tuple(ancestors))
     assert parse_identifier(str(identifier)) == identifier
+
+
+@given(names=st.lists(st.tuples(name_strategy, st.sampled_from(["", "id|/\\"])),
+                      min_size=1, max_size=5),
+       control_type=st.sampled_from(list(ControlType)))
+def test_identifier_string_equals_the_synthesized_identifier(names, control_type):
+    """The direct string builder agrees with ``str(synthesize_identifier)``
+    on separator- and backslash-laden names, at every depth."""
+    node = None
+    for name, automation_id in names:
+        child = UIElement(name=name, automation_id=automation_id,
+                          control_type=control_type)
+        if node is not None:
+            node.add_child(child)
+        node = child
+        assert identifier_string(node) == str(synthesize_identifier(node))
