@@ -1,23 +1,21 @@
 """A synthetic application with scripted UI mutations.
 
-The incremental-ripping benchmark and tests need an application whose UI can
-be changed *between* rips in controlled, scoped ways — something the four
-Office-like apps deliberately avoid (their trees are fixed per build).
-:class:`MutableDemoApp` provides:
+The ripper's oracle tests need an application whose UI can be changed
+*between* rips in controlled, scoped ways — something the Office-like apps
+deliberately avoid (their trees are fixed per build).  A mutated instance is
+ripped again and compared with the reference ripper and with a fresh
+instance given the same mutations.  :class:`MutableDemoApp` provides:
 
 * a deliberately wide main window (two colour drop-downs, a quick-action
   button strip, a two-tab section) so a full rip visits on the order of a
   hundred nodes, and
 * a small ``Settings`` dialog built fresh on every open from a persistent
   spec list, so dialog-scoped mutations are cheap to express and cheap to
-  re-explore — the paper's "one dialog changed, don't re-rip the world"
-  scenario.
+  re-explore.
 
-Every mutation helper publishes a scoped change on ``app.ui_changes`` —
-either automatically (widget add/remove and property edits route through the
-instrumented widget layer) or explicitly (dialog-spec edits are model-side
-changes the widget layer cannot see, so :meth:`mutate_dialog_spec` publishes
-a ``dialog_spec_changed`` event against the ``Settings`` window itself).
+Widget mutations (add/remove, property edits, tab switches) change the live
+tree; dialog-spec edits change the model the ``Settings`` dialog is built
+from, so they show only when the dialog next opens.
 
 The app is intentionally *not* registered in ``APP_FACTORIES``: it models no
 benchmark tasks.  It exists for the ripper's sake.
@@ -31,8 +29,7 @@ from repro.apps.base import Application
 from repro.gui.ribbon import DialogBuilder, build_color_dropdown
 from repro.gui.widgets import Button, Edit, Group, Pane, TabControl, TabItem
 
-#: The dialog window title; mutation events against the dialog spec are
-#: scoped to this name.
+#: The title of the dialog built from the dialog spec.
 SETTINGS_WINDOW = "Settings"
 
 
@@ -138,7 +135,7 @@ class MutableDemoApp(Application):
         self.open_dialog(builder.build())
 
     # ------------------------------------------------------------------
-    # scripted mutations (each publishes a scoped UI change)
+    # scripted mutations
     # ------------------------------------------------------------------
     def _add_quick_button_widget(self, label: str) -> Button:
         return self._quick_group.add_child(Button(
@@ -146,13 +143,13 @@ class MutableDemoApp(Application):
             on_click=lambda: self.state_log.append(("quick", label))))
 
     def add_quick_button(self, label: str) -> Button:
-        """Add a button to the main window's quick strip (widget_added)."""
+        """Add a button to the main window's quick strip."""
         button = self._add_quick_button_widget(label)
         self.desktop.relayout()
         return button
 
     def remove_quick_button(self, label: str) -> None:
-        """Remove a quick-strip button by name (widget_removed)."""
+        """Remove a quick-strip button by name."""
         for child in list(self._quick_group.children):
             if child.name == label:
                 self._quick_group.remove_child(child)
@@ -161,7 +158,7 @@ class MutableDemoApp(Application):
         raise KeyError(f"no quick button named {label!r}")
 
     def set_status_line(self, text: str) -> None:
-        """Change the status edit's text (property_changed)."""
+        """Change the status edit's text."""
         for child in self._quick_group.children:
             if isinstance(child, Edit) and child.name == "Status Line":
                 child.set_text(text)
@@ -169,7 +166,7 @@ class MutableDemoApp(Application):
         raise KeyError("no Status Line edit")
 
     def toggle_tab(self) -> None:
-        """Activate the currently unselected tab (tab_activated)."""
+        """Activate the currently unselected tab."""
         tabs = self._tabs.tabs()
         current = self._tabs.selected_tab()
         for tab in tabs:
@@ -180,22 +177,15 @@ class MutableDemoApp(Application):
     def mutate_dialog_spec(self, kind: str, label: str) -> None:
         """Append a row to the Settings dialog spec.
 
-        The spec lives in the model, not the widget tree, so the widget
-        layer cannot observe this change — it is published explicitly,
-        scoped to the dialog window it will materialize in.
+        The spec lives in the model, not the widget tree: the row appears
+        the next time the dialog opens.
         """
         self._dialog_spec.append((kind, label))
-        self.ui_changes.publish("dialog_spec_changed",
-                                window=SETTINGS_WINDOW,
-                                identifier=f"{kind}:{label}")
 
     def drop_dialog_spec_row(self, label: str) -> None:
-        """Remove a Settings dialog spec row by label (scoped publish)."""
+        """Remove a Settings dialog spec row by label."""
         before = len(self._dialog_spec)
         self._dialog_spec = [(kind, l) for kind, l in self._dialog_spec
                              if l != label]
         if len(self._dialog_spec) == before:
             raise KeyError(f"no dialog spec row labeled {label!r}")
-        self.ui_changes.publish("dialog_spec_changed",
-                                window=SETTINGS_WINDOW,
-                                identifier=f"drop:{label}")

@@ -37,9 +37,10 @@ RUN_RECORD_FORMAT_VERSION = 1
 _RECORD_KIND = "repro-run-record"
 
 #: The execution paths a record may claim: the equivalence paths, plus the
-#: maintenance paths recorded by ``repro cache gc`` and incremental rips.
-#: ``dir-broker`` names the retired directory broker; the CLI no longer
-#: records it, but it stays valid so existing run records load and diff.
+#: maintenance path recorded by ``repro cache gc``.  ``dir-broker`` names
+#: the retired directory broker and ``incremental-rip`` the retired
+#: trace-replay ripper; nothing records them any more, but they stay valid
+#: so existing run records load and diff.
 EXECUTOR_PATHS = ("serial", "parallel", "file-shard", "dir-broker",
                   "store-broker", "cache-gc", "incremental-rip")
 

@@ -869,7 +869,7 @@ def command_model(args) -> int:
             ung, report = load_model(args.load)
         except OSError as error:
             raise SystemExit(f"repro: cannot load model {args.load!r}: {error}")
-        except (ValueError, KeyError) as error:
+        except ValueError as error:
             raise SystemExit(f"repro: invalid model file {args.load!r}: {error}")
         if ung.app_name and ung.app_name.lower() != args.app:
             raise SystemExit(f"repro: {args.load!r} is a model of "

@@ -182,7 +182,7 @@ class ArtifactCache:
             return None
         try:
             ung, report = load_model(path)
-        except (ValueError, KeyError, json.JSONDecodeError, OSError):
+        except (ValueError, OSError):
             return None
         return rebuild_offline_artifacts(ung, self.config, rip_report=report)
 

@@ -10,6 +10,10 @@ query engine deterministically.
 Only the UNG is persisted: the forest and core view are cheap, deterministic
 functions of it, so storing them would just risk divergence from the
 transformation code.
+
+Loading validates the shape of the payload: a malformed file raises
+:class:`ValueError` naming the offending field (``nodes[3].node_id``),
+never a bare ``KeyError``/``TypeError``/``AttributeError``.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Type, Union
 
 from repro.ripping.ripper import RipReport
 from repro.ripping.ung import NavigationGraph, UNGNode
@@ -57,33 +61,91 @@ def ung_digest(ung: NavigationGraph) -> str:
 
     Two UNGs with the same digest serialize to the same bytes (modulo the
     rip report, which is intentionally excluded: its timings differ between
-    otherwise identical rips).  Used by the incremental pipeline to decide
-    whether downstream artefacts (forest, core) can be reused as-is.
+    otherwise identical rips).  Tests and the benchmark's correctness gate
+    compare models by it.
     """
     encoded = json.dumps(ung_to_dict(ung), sort_keys=True,
                          ensure_ascii=False).encode("utf-8")
     return hashlib.sha256(encoded).hexdigest()[:16]
 
 
+_MISSING = object()
+
+_KIND_NAMES = {str: "a string", int: "an integer", (int, float): "a number",
+               bool: "a boolean", list: "a list"}
+
+
+def _field(payload: Dict, key: str, where: str, kind: Type,
+           default: object = _MISSING) -> object:
+    """``payload[key]``, checked to be a ``kind``; ``where`` names
+    ``payload`` in the error (``nodes[3]``)."""
+    name = f"{where}.{key}" if where else key
+    if key not in payload:
+        if default is _MISSING:
+            raise ValueError(f"missing field {name}")
+        return default
+    value = payload[key]
+    if isinstance(value, bool) and kind is not bool \
+            or not isinstance(value, kind):
+        raise ValueError(f"field {name} must be {_KIND_NAMES[kind]}, "
+                         f"got {type(value).__name__}")
+    return value
+
+
+def _string_list(payload: Dict, key: str, where: str) -> list:
+    values = _field(payload, key, where, list, default=[])
+    for index, value in enumerate(values):
+        if not isinstance(value, str):
+            raise ValueError(f"field {where}.{key}[{index}] must be a string, "
+                             f"got {type(value).__name__}")
+    return values
+
+
 def ung_from_dict(payload: Dict) -> NavigationGraph:
-    """Rebuild a UNG from its serialised representation."""
+    """Rebuild a UNG from its serialised representation.
+
+    Raises :class:`ValueError` naming the field when ``payload`` is not a
+    model of the current format.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(f"a model must be a JSON object, "
+                         f"got {type(payload).__name__}")
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported navigation-model format version {version!r}")
-    ung = NavigationGraph(app_name=payload.get("app_name", ""))
-    for entry in payload["nodes"]:
+    ung = NavigationGraph(app_name=_field(payload, "app_name", "", str, ""))
+    for index, entry in enumerate(_field(payload, "nodes", "", list)):
+        where = f"nodes[{index}]"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where} must be a JSON object, "
+                             f"got {type(entry).__name__}")
+        control_type = _field(entry, "control_type", where, str)
+        try:
+            control_type = ControlType(control_type)
+        except ValueError:
+            raise ValueError(f"field {where}.control_type: unknown control "
+                             f"type {control_type!r}") from None
         ung.add_node(UNGNode(
-            node_id=entry["node_id"],
-            name=entry["name"],
-            control_type=ControlType(entry["control_type"]),
-            automation_id=entry.get("automation_id", ""),
-            description=entry.get("description", ""),
-            contexts=set(entry.get("contexts", [])),
-            window=entry.get("window", ""),
+            node_id=_field(entry, "node_id", where, str),
+            name=_field(entry, "name", where, str),
+            control_type=control_type,
+            automation_id=_field(entry, "automation_id", where, str, ""),
+            description=_field(entry, "description", where, str, ""),
+            contexts=set(_string_list(entry, "contexts", where)),
+            window=_field(entry, "window", where, str, ""),
         ))
-    ung.root_id = payload.get("root_id", ung.root_id)
-    for source, target in payload["edges"]:
-        ung.add_edge(source, target)
+    ung.root_id = _field(payload, "root_id", "", str, ung.root_id)
+    if ung.root_id not in ung.nodes:
+        raise ValueError(f"field root_id: {ung.root_id!r} is not a node")
+    for index, edge in enumerate(_field(payload, "edges", "", list)):
+        if not (isinstance(edge, list) and len(edge) == 2
+                and all(isinstance(end, str) for end in edge)):
+            raise ValueError(f"edges[{index}] must be a [source, target] "
+                             f"pair of node ids, got {edge!r}")
+        for end in edge:
+            if end not in ung.nodes:
+                raise ValueError(f"edges[{index}]: {end!r} is not a node")
+        ung.add_edge(*edge)
     return ung
 
 
@@ -104,9 +166,25 @@ def load_ung(path: Union[str, Path]) -> NavigationGraph:
 
 
 def rip_report_from_dict(payload: Dict) -> RipReport:
-    """Rebuild a :class:`RipReport` from :meth:`RipReport.as_dict` output."""
-    known = {f for f in RipReport.__dataclass_fields__}
-    return RipReport(**{key: value for key, value in payload.items() if key in known})
+    """Rebuild a :class:`RipReport` from :meth:`RipReport.as_dict` output.
+
+    Keys the current report does not have are ignored, so reports saved
+    with fields that were later removed still load.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(f"field rip_report must be a JSON object, "
+                         f"got {type(payload).__name__}")
+    defaults = RipReport()
+    values = {}
+    for key in RipReport.__dataclass_fields__:
+        if key not in payload:
+            continue
+        kind = type(getattr(defaults, key))
+        kind = (int, float) if kind is float else kind
+        values[key] = _field(payload, key, "rip_report", kind)
+    if "contexts" in values:
+        _string_list(values, "contexts", "rip_report")
+    return RipReport(**values)
 
 
 def load_model(path: Union[str, Path]) -> Tuple[NavigationGraph, Optional[RipReport]]:
@@ -120,5 +198,6 @@ def load_model(path: Union[str, Path]) -> Tuple[NavigationGraph, Optional[RipRep
         payload = json.load(handle)
     ung = ung_from_dict(payload)
     report_payload = payload.get("rip_report")
-    report = rip_report_from_dict(report_payload) if report_payload else None
+    report = rip_report_from_dict(report_payload) \
+        if report_payload not in (None, {}) else None
     return ung, report

@@ -13,7 +13,7 @@ three per-click steps are the original whole-tree implementation:
   collapses every expansion the branch introduced and re-selects the
   previously selected tabs — each step a walk over every open window.
 
-Everything else (DFS order, budgets, trace recording, replay) is the
+Everything else (DFS order, budgets, contexts, graph building) is the
 production ripper's, so any difference between the two is a difference in
 exactly those three steps.  The cost is quadratic in the size of the UI;
 the oracle tests keep their inputs small.
@@ -66,7 +66,6 @@ class ReferenceRipper(GuiRipper):
     def _activate_and_diff(self, element: UIElement) -> List[UIElement]:
         before = {identifier_string(e) for e in self._snapshot_visible()}
         self._clicks += 1
-        self._live_activations += 1
         try:
             self.app.input.click(element)
         except Exception:

@@ -12,6 +12,7 @@ import os
 
 import pytest
 
+from malformed_models import MALFORMED_IDS, MALFORMED_MODELS, write_model
 from repro.apps.mutable import MutableDemoApp
 from repro.bench.telemetry import AggregatingSink, use_sink
 from repro.cli import main
@@ -22,6 +23,7 @@ from repro.dmi.cache import (
     config_fingerprint,
 )
 from repro.dmi.interface import DMIConfig
+from repro.topology.persistence import load_model, ung_digest
 
 
 # ----------------------------------------------------------------------
@@ -71,6 +73,20 @@ def test_rebuilt_app_version_addresses_a_fresh_cache_slot(tmp_path):
     cache.load_or_build("mutable-demo", factory=MutableDemoApp)
     cache.load_or_build("mutable-demo", factory=RebuiltDemo)
     assert cache.hits == 2
+
+
+@pytest.mark.parametrize("case,payload,message", MALFORMED_MODELS, ids=MALFORMED_IDS)
+def test_malformed_entry_is_a_miss_and_is_rebuilt_in_place(
+        tmp_path, case, payload, message):
+    cache = ArtifactCache(tmp_path / "cache")
+    path = write_model(cache.path_for("mutable-demo", app_version="1.0"), payload)
+    assert cache.get("mutable-demo", app_version="1.0") is None
+    rebuilt = cache.load_or_build("mutable-demo", factory=MutableDemoApp)
+    assert (cache.misses, cache.hits) == (1, 0)
+    stored, _ = load_model(path)
+    assert ung_digest(stored) == ung_digest(rebuilt.ung)
+    cache.load_or_build("mutable-demo", factory=MutableDemoApp)
+    assert (cache.misses, cache.hits) == (1, 1)
 
 
 # ----------------------------------------------------------------------

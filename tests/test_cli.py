@@ -1,9 +1,13 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+from malformed_models import MALFORMED_IDS, MALFORMED_MODELS, write_model
 from repro.bench.runner import DEFAULT_SEED
 from repro.cli import build_parser, main
 
@@ -157,6 +161,28 @@ def test_model_load_rejects_missing_file_and_wrong_app(tmp_path, capsys):
     truncated.write_text('{"format_version": 1}')
     with pytest.raises(SystemExit, match="invalid model file"):
         main(["model", "word", "--load", str(truncated)])
+
+
+@pytest.mark.parametrize("case,payload,message", MALFORMED_MODELS, ids=MALFORMED_IDS)
+def test_model_load_rejects_malformed_files_naming_the_field(
+        tmp_path, case, payload, message):
+    path = write_model(tmp_path / f"{case}.json", payload)
+    with pytest.raises(SystemExit) as raised:
+        main(["model", "word", "--load", str(path)])
+    text = str(raised.value.code)
+    assert text.startswith(f"repro: invalid model file {str(path)!r}: ")
+    assert message in text
+
+
+def test_model_load_of_a_malformed_file_prints_no_traceback(tmp_path):
+    path = write_model(tmp_path / "list.json", [1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-m", "repro", "model", "word",
+                           "--load", str(path)],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 1
+    assert "invalid model file" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_model_save_reports_unwritable_path(tmp_path, capsys):

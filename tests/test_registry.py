@@ -146,6 +146,29 @@ def test_registry_records_lists_and_loads(tmp_path):
         registry.record(first)
 
 
+def test_incremental_rip_records_still_load_and_diff(tmp_path, capsys):
+    """Records of the retired incremental ripper (executor
+    ``incremental-rip``, a ``rip_incremental`` counter and timer) still
+    load, list and diff against a record written today."""
+    registry = RunRegistry(tmp_path)
+    old = make_record("20260101-000000-aaaaaa", executor="incremental-rip",
+                      counters={"rip_full": 2, "rip_incremental": 2},
+                      timers={"rip_incremental_s": {"count": 2, "total_s": 0.01}})
+    path = registry.record(old)
+    assert RunRecord.from_dict(json.loads(path.read_text()), str(path)) == old
+    registry.record(make_record("20260102-000000-bbbbbb",
+                                counters={"rip_full": 2}))
+    assert registry.load(old.run_id) == old
+    rows = {row.metric: row for row in
+            diff_runs(old, registry.load("20260102-000000-bbbbbb"))}
+    assert (rows["rip_incremental"].before, rows["rip_incremental"].after) == (2.0, None)
+    assert main(["runs", "list", "--registry", str(tmp_path)]) == 0
+    assert main(["runs", "diff", "20260101", "20260102",
+                 "--registry", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "(incremental-rip)" in out and "rip_incremental" in out
+
+
 def test_registry_resolves_unique_prefixes(tmp_path):
     registry = RunRegistry(tmp_path)
     registry.record(make_record("20260101-000000-aaaaaa"))

@@ -3,8 +3,7 @@
 Covers the journal itself (:mod:`repro.uia.journal`), the ripper's
 full-walk fallback rule on a probe app whose one action button does one
 kind of change per case, persistence of the new report field, and that no
-rip — normal, falling back from a replay mismatch, or raising — leaks its
-journal or its deferred layout.
+rip — normal or raising — leaks its journal or its deferred layout.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from repro.apps.base import Application
 from repro.apps.mutable import MutableDemoApp
 from repro.gui.ribbon import DialogBuilder, build_menu_button
 from repro.gui.widgets import Button, Group, SplitButton, TabItem, TextLabel
-from repro.ripping.ripper import GuiRipper, ReplayMismatch
+from repro.ripping.ripper import GuiRipper
 from repro.topology.persistence import load_model, save_ung, ung_digest
 from repro.uia import journal
 from repro.uia.element import UIElement
@@ -154,7 +153,6 @@ def test_probe_rip_equals_reference_and_falls_back_only_on_restructure(
     reference = ReferenceRipper(ProbeApp(case))
     reference.rip()
     assert ung_digest(production.ung) == ung_digest(reference.ung)
-    assert production.trace.records == reference.trace.records
     for field in ("clicks", "blocked", "nodes"):
         assert getattr(production.report, field) == getattr(reference.report, field)
     assert (production.report.walk_fallbacks > 0) == falls_back
@@ -206,36 +204,6 @@ def test_a_rip_lays_out_once_and_leaks_nothing(monkeypatch):
     assert ripper.report.clicks > 0 and all(deferred)
     assert layouts == [1]
     assert_no_leaked_rip_state(app)
-
-
-def test_replay_mismatch_fallback_leaks_nothing():
-    app = MutableDemoApp()
-    first = GuiRipper(app)
-    first.rip()
-    app.mutate_dialog_spec("checkbox", "Night mode")
-
-    class Mismatching(GuiRipper):
-        live_steps = 0
-
-        def _explore(self, element, node_id, depth, context):
-            if self._replay is not None:
-                self.live_steps += 1
-                if self.live_steps == 3:
-                    raise ReplayMismatch("forced")
-            super()._explore(element, node_id, depth, context)
-
-    ripper = Mismatching(app)
-    ripper.rip_incremental(first.ung, first.trace)
-    assert ripper.report.fallback_reason == "replay mismatch: forced"
-    assert ung_digest(ripper.ung) == ung_digest(
-        GuiRipper(_mutated_demo()).rip())
-    assert_no_leaked_rip_state(app)
-
-
-def _mutated_demo() -> MutableDemoApp:
-    app = MutableDemoApp()
-    app.mutate_dialog_spec("checkbox", "Night mode")
-    return app
 
 
 def test_a_rip_whose_exploration_raises_leaks_nothing():

@@ -4,11 +4,12 @@ Two oracles:
 
 * :class:`reference_ripper.ReferenceRipper` — the original whole-tree
   snapshot diff/restore.  The production ripper must produce the same UNG
-  (digest), the same click/blocked/node counts and the same trace records
-  on random synthetic specs, the three Office apps and every
-  :class:`~repro.apps.mutable.MutableDemoApp` mutation scenario, for full
-  and incremental rips, including an incremental rip forced to fall back
-  half-way through live exploration.
+  (digest) and the same click/blocked/node counts on random synthetic
+  specs, the three Office apps and every
+  :class:`~repro.apps.mutable.MutableDemoApp` mutation scenario, both on a
+  freshly mutated app and on a second rip of an app that was ripped, then
+  mutated.  That second rip must also equal a rip of a fresh twin given
+  the same mutations.
 * :func:`repro.apps.synthetic.topology_for` — every control the generator
   put into an app must be a node of its UNG.
 """
@@ -23,7 +24,7 @@ from reference_ripper import ReferenceRipper
 from repro.apps import ExcelApp, PowerPointApp, WordApp
 from repro.apps.mutable import MutableDemoApp
 from repro.apps.synthetic import SyntheticApp, SyntheticSpec, topology_for
-from repro.ripping.ripper import GuiRipper, ReplayMismatch
+from repro.ripping.ripper import GuiRipper
 from repro.topology.persistence import ung_digest
 
 RIPPERS = (GuiRipper, ReferenceRipper)
@@ -37,12 +38,6 @@ def observed(ripper):
         "clicks": report.clicks,
         "blocked": report.blocked,
         "nodes": report.nodes,
-        "mode": report.mode,
-        "fallback_reason": report.fallback_reason,
-        "nodes_visited": report.nodes_visited,
-        "nodes_reused": report.nodes_reused,
-        "nodes_patched": report.nodes_patched,
-        "records": ripper.trace.records,
     }
 
 
@@ -56,9 +51,7 @@ def assert_same(build, rip):
     """Rip a fresh ``build()`` with each ripper; the observations agree.
     Returns the production ripper."""
     production, reference = (rip(cls, build()) for cls in RIPPERS)
-    got, want = observed(production), observed(reference)
-    assert got.pop("records") == want.pop("records")
-    assert got == want
+    assert observed(production) == observed(reference)
     return production
 
 
@@ -97,7 +90,7 @@ def test_office_rip_equals_reference(app_cls):
 
 
 # ----------------------------------------------------------------------
-# MutableDemoApp: every scenario, full and incremental
+# MutableDemoApp: every scenario, on a fresh app and re-ripped after it
 # ----------------------------------------------------------------------
 SCENARIOS = {
     "none": lambda app, i: None,
@@ -122,14 +115,19 @@ def mutated(names):
     return build
 
 
-def incremental_rip(ripper_cls, app, mutations=()):
-    """Rip ``app``, apply ``mutations``, then rip it incrementally."""
-    first = full_rip(ripper_cls, app)
+def rerip(ripper_cls, app, mutations=()):
+    """Rip ``app``, apply ``mutations`` to it, then rip it again."""
+    full_rip(ripper_cls, app)
     for step, name in enumerate(mutations):
         SCENARIOS[name](app, step)
-    ripper = ripper_cls(app)
-    ripper.rip_incremental(first.ung, first.trace)
-    return ripper
+    return full_rip(ripper_cls, app)
+
+
+def assert_rerip_equals_reference_and_twin(mutations):
+    ripper = assert_same(MutableDemoApp,
+                         lambda cls, app: rerip(cls, app, mutations))
+    twin = full_rip(GuiRipper, mutated(mutations)())
+    assert ung_digest(ripper.ung) == ung_digest(twin.ung)
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
@@ -138,56 +136,13 @@ def test_mutable_scenario_full_rip_equals_reference(scenario):
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_mutable_scenario_incremental_rip_equals_reference(scenario):
-    ripper = assert_same(
-        MutableDemoApp,
-        lambda cls, app: incremental_rip(cls, app, [scenario]))
-    assert ripper.report.mode == "incremental"
+def test_mutable_scenario_rerip_equals_reference_and_twin(scenario):
+    assert_rerip_equals_reference_and_twin([scenario])
 
 
 @settings(max_examples=6, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(script=st.lists(st.sampled_from(sorted(SCENARIOS)), min_size=1,
                        max_size=3, unique=True))
-def test_mutation_sequences_equal_reference(script):
-    assert_same(MutableDemoApp, lambda cls, app: incremental_rip(cls, app, script))
-
-
-# ----------------------------------------------------------------------
-# a forced ReplayMismatch half-way through live exploration
-# ----------------------------------------------------------------------
-def forcing_mismatch(ripper_cls, at_live_step):
-    """``ripper_cls`` raising ReplayMismatch on its ``at_live_step``-th live
-    exploration of an incremental rip — mid-branch, so the clicks of every
-    enclosing branch are still unrestored when the fallback restores the
-    state captured before the replay."""
-
-    class Forced(ripper_cls):
-        live_steps = 0
-
-        def _explore(self, element, node_id, depth, context):
-            if self._replay is not None:
-                self.live_steps += 1
-                if self.live_steps == at_live_step:
-                    raise ReplayMismatch("forced")
-            super()._explore(element, node_id, depth, context)
-
-    return Forced
-
-
-@settings(max_examples=6, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(at_live_step=st.integers(1, 12),
-       mutation=st.sampled_from(["dialog-checkbox", "add-quick-button",
-                                 "toggle-tab"]))
-def test_forced_replay_mismatch_equals_reference(at_live_step, mutation):
-    def rip(cls, app):
-        first = full_rip(cls, app)
-        SCENARIOS[mutation](app, 0)
-        ripper = forcing_mismatch(cls, at_live_step)(app)
-        ripper.rip_incremental(first.ung, first.trace)
-        return ripper
-
-    report = assert_same(MutableDemoApp, rip).report
-    if report.mode == "full":
-        assert report.fallback_reason == "replay mismatch: forced"
+def test_mutation_sequences_rerip_equals_reference_and_twin(script):
+    assert_rerip_equals_reference_and_twin(script)

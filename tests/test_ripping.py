@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps import PowerPointApp, WordApp
+from repro.bench.telemetry import AggregatingSink, EventSink, use_sink
 from repro.ripping.blocklist import AccessBlocklist, default_blocklist_for
 from repro.ripping.contexts import DEFAULT_CONTEXT, context_plan_for
 from repro.ripping.ripper import GuiRipper, RipperConfig, rip_application
@@ -201,6 +202,30 @@ def test_ripper_max_depth_limits_exploration(mini_app):
     shallow = GuiRipper(mini_app, config=RipperConfig(max_depth=1)).rip()
     deep = GuiRipper(type(mini_app)(), config=RipperConfig(max_depth=10)).rip()
     assert shallow.node_count() <= deep.node_count()
+
+
+def test_full_rip_emits_rip_full_event(mini_app):
+    with use_sink(AggregatingSink()) as sink:
+        GuiRipper(mini_app).rip()
+    assert sink.count("rip_full") == 1
+
+
+def test_rip_full_event_carries_the_report_figures(mini_app):
+    class Recording(EventSink):
+        def __init__(self):
+            self.events = []
+
+        def emit(self, event):
+            self.events.append(event)
+
+    sink = Recording()
+    ripper = GuiRipper(mini_app, sink=sink)
+    ripper.rip()
+    [event] = sink.events
+    assert (event.name, event.app) == ("rip_full", mini_app.APP_NAME)
+    assert event.nodes_visited == ripper.report.clicks > 0
+    assert event.nodes == ripper.report.nodes
+    assert event.seconds == ripper.report.duration_seconds
 
 
 def test_word_rip_has_paper_like_structural_properties(word_artifacts):

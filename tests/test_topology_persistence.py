@@ -4,14 +4,17 @@ import json
 
 import pytest
 
+from malformed_models import MALFORMED_IDS, MALFORMED_MODELS, valid_model, write_model
 from repro.apps import PowerPointApp
 from repro.dmi.interface import DMI, OfflineArtifacts
 from repro.topology.core import extract_core
 from repro.topology.forest import build_forest
 from repro.topology.persistence import (
     FORMAT_VERSION,
+    load_model,
     load_ung,
     save_ung,
+    ung_digest,
     ung_from_dict,
     ung_to_dict,
 )
@@ -45,6 +48,37 @@ def test_unknown_format_version_is_rejected(ppt_artifacts):
     payload["format_version"] = 999
     with pytest.raises(ValueError):
         ung_from_dict(payload)
+
+
+@pytest.mark.parametrize("case,payload,message", MALFORMED_MODELS, ids=MALFORMED_IDS)
+def test_malformed_model_raises_value_error_naming_the_field(
+        tmp_path, case, payload, message):
+    path = write_model(tmp_path / f"{case}.json", payload)
+    with pytest.raises(ValueError) as raised:
+        load_model(path)
+    assert message in str(raised.value)
+
+
+def test_valid_model_fixture_loads(tmp_path):
+    ung, report = load_model(write_model(tmp_path / "model.json", valid_model()))
+    assert ung.node_count() == 4 and ung.edge_count() == 3
+    assert report.clicks == 3
+
+
+def test_saved_report_with_retired_fields_still_loads(tmp_path, ppt_artifacts):
+    """Reports saved when rips could replay a trace carry mode/visit/reuse
+    fields the report no longer has; the model and the rest of the report
+    still load."""
+    path = save_ung(ppt_artifacts.ung, tmp_path / "ppt.json",
+                    report=ppt_artifacts.rip_report)
+    payload = json.loads(path.read_text())
+    payload["rip_report"].update(mode="incremental", nodes_visited=12,
+                                 nodes_reused=500, nodes_patched=3,
+                                 fallback_reason="")
+    path.write_text(json.dumps(payload))
+    ung, report = load_model(path)
+    assert ung_digest(ung) == ung_digest(ppt_artifacts.ung)
+    assert report == ppt_artifacts.rip_report
 
 
 def test_loaded_model_rebuilds_forest_and_drives_dmi(tmp_path, ppt_artifacts):
